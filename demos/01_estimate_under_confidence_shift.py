@@ -53,11 +53,11 @@ print(f"below-threshold fraction achieved on validation: "
 # Uncertainty via bootstrap: resample the validation set and look at the
 # spread of the resulting estimates.
 from atckit import bootstrap_resample
-from atckit.harness import run_seed
+from atckit.harness import derive_seed
 
 estimates = []
 for i in range(200):
-    resample = bootstrap_resample(validation, run_seed(0, spec.k, i))
+    resample = bootstrap_resample(validation, derive_seed(0, spec.k, i))
     estimates.append(atc_estimate(resample, deployment, ScoreFunction.MAX_CONF).accuracy)
 lo, hi = np.quantile(estimates, [0.025, 0.975])
 print()

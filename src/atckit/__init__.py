@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InsufficientCalibrationError,
+    InvalidArgumentError,
     MissingLabelsError,
     NotOnSimplexError,
     ParseError,
@@ -59,7 +60,6 @@ from .scores import (
     SCORE_IDS,
     MonotoneTransform,
     ScoreFunction,
-    apply_transform,
     score,
     score_batch,
     uniform_vector,
@@ -91,6 +91,7 @@ __all__ = [
     "EquivalenceReport",
     "GeneratorSpec",
     "InsufficientCalibrationError",
+    "InvalidArgumentError",
     "MetricValue",
     "MissingLabelsError",
     "MonotoneTransform",
@@ -108,7 +109,6 @@ __all__ = [
     "VerdictStatus",
     "aggregate",
     "apply_temperature",
-    "apply_transform",
     "atc_estimate",
     "bootstrap_calibration",
     "bootstrap_resample",

@@ -23,25 +23,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .atc import atc_estimate
-from .doc import DocMode, bootstrap_calibration, doc_estimate
 from .errors import AtckitError, MissingLabelsError
 from .harness import (
+    CANONICAL_METHODS,
+    DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
     aggregate,
     bootstrap_resample,
+    derive_seed,
+    estimate_metric,
     format_aggregate_table,
     pairwise_difference_report,
     rank_methods,
     run_benchmark_suite,
-    run_seed,
     write_aggregate_csv,
     write_runs_csv,
 )
 from .io import load_dump, write_dump
 from .ordering import search_counterexample, verify_equivalence_relation, verify_on_sample
 from .scores import SCORE_IDS, ScoreFunction
-from .simplex import Convention, PredictionSet
+from .simplex import Convention
 from .synth import GeneratorSpec, Shift, generate, make_shift_pair
 
 _EXIT_OK = 0
@@ -51,13 +52,6 @@ _EXIT_INPUT_ERROR = 2
 
 def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
-
-
-def _stable_seed(*parts) -> int:
-    import hashlib
-
-    key = ":".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
 # ---------------------------------------------------------------- estimate
@@ -72,18 +66,9 @@ def _add_estimate_parser(subparsers) -> None:
     p.add_argument("--convention", default="accuracy", choices=("accuracy", "error"))
     p.add_argument("--boot", type=int, default=0, help="bootstrap resamples (0 = none)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--calibration-sets", type=int, default=10)
+    p.add_argument("--calibration-sets", type=int, default=DOC_REG_CALIBRATION_SETS)
     p.add_argument("--strict-sums", action="store_true", help="disable renormalization")
     p.set_defaults(func=_cmd_estimate)
-
-
-def _metric_for(args, source: PredictionSet, target: PredictionSet, label: str):
-    if label.startswith("atc-"):
-        return atc_estimate(source, target, ScoreFunction(label[4:])).target_value
-    if label == "doc":
-        return doc_estimate(source, target, DocMode.NAIVE)
-    calibration = bootstrap_calibration(source, args.calibration_sets, seed=[args.seed, 1])
-    return doc_estimate(source, target, DocMode.REGRESSION, calibration=calibration)
 
 
 def _cmd_estimate(args) -> int:
@@ -94,21 +79,22 @@ def _cmd_estimate(args) -> int:
     convention = Convention(args.convention)
 
     if args.method == "atc":
-        ids = SCORE_IDS if args.score == "all" else (args.score,)
-        labels = [f"atc-{i}" for i in ids]
+        methods = SCORE_IDS if args.score == "all" else (args.score,)
     else:
-        labels = [args.method]
+        methods = (args.method,)
 
-    for label in labels:
-        point = _metric_for(args, source, target, label).converted(convention).value
-        line = f"{label:<10} {_pct(point)}"
+    def metric(method, labeled):
+        value = estimate_metric(method, labeled, target, args.seed, args.calibration_sets)
+        return value.converted(convention).value
+
+    for method in methods:
+        label = f"atc-{method}" if method in SCORE_IDS else method
+        line = f"{label:<10} {_pct(metric(method, source))}"
         if args.boot > 0:
             values = []
             for i in range(args.boot):
-                resample = bootstrap_resample(source, run_seed(args.seed, source.k, i))
-                values.append(
-                    _metric_for(args, resample, target, label).converted(convention).value
-                )
+                resample = bootstrap_resample(source, derive_seed(args.seed, source.k, i))
+                values.append(metric(method, resample))
             lo, hi = np.quantile(values, [0.025, 0.975])
             line += f"  boot {_pct(float(np.mean(values)))} [{_pct(float(lo))},{_pct(float(hi))}]"
         print(line)
@@ -139,8 +125,8 @@ def _add_benchmark_parser(subparsers) -> None:
     p.add_argument(
         "--methods",
         nargs="+",
-        default=list(SCORE_IDS) + ["doc"],
-        choices=list(SCORE_IDS) + ["doc", "doc-reg"],
+        default=list(BenchmarkConfig.methods),
+        choices=CANONICAL_METHODS,
     )
     p.add_argument("--boot", type=int, default=1000)
     p.add_argument("--ci", type=float, default=0.95)
@@ -160,7 +146,7 @@ def _synthetic_pairs(args):
             target_accuracy=args.accuracy,
             concentration=args.concentration,
             shift=Shift(temperature=args.temperature),
-            seed=_stable_seed("gen", args.seed, k),
+            seed=derive_seed("gen", args.seed, k),
         )
         pairs.append(make_shift_pair(spec))
     return pairs
@@ -186,7 +172,6 @@ def _cmd_benchmark(args) -> int:
         n_boot=args.boot,
         ci_level=args.ci,
         master_seed=args.seed,
-        dimensions=tuple(target.k for _, target in pairs),
     )
     records = run_benchmark_suite(pairs, config)
     rows = aggregate(records, ci_level=config.ci_level)
@@ -228,22 +213,15 @@ def _add_verify_parser(subparsers) -> None:
     p.set_defaults(func=_cmd_verify)
 
 
-def _predicted_consistent(a: ScoreFunction, b: ScoreFunction, k: int) -> bool:
-    if a is b or k == 2:
-        return True
-    return {a, b} == {ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM}
-
-
 def _predicted_classes(k: int) -> set:
     if k == 2:
         return {frozenset(SCORE_IDS)}
     quadratic = frozenset((ScoreFunction.L2_NORM.value, ScoreFunction.L2_TO_UNIFORM.value))
-    singles = {
-        frozenset((fn.value,))
-        for fn in ScoreFunction
-        if fn not in (ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM)
-    }
-    return {quadratic} | singles
+    return {quadratic} | {frozenset((i,)) for i in SCORE_IDS if i not in quadratic}
+
+
+def _predicted_consistent(a: ScoreFunction, b: ScoreFunction, k: int) -> bool:
+    return any({a.value, b.value} <= cls for cls in _predicted_classes(k))
 
 
 def _verdict_record(fn_a, fn_b, k, consistent, pairs_checked, eps, witness) -> dict:
@@ -266,11 +244,6 @@ def _verdict_record(fn_a, fn_b, k, consistent, pairs_checked, eps, witness) -> d
 
 
 def _cmd_verify(args) -> int:
-    if args.points > 2000:
-        raise AtckitError(
-            "--points is capped at 2000 (the pairwise check is quadratic); "
-            "raise --budget instead for a deeper counterexample search"
-        )
     if args.pair:
         try:
             id_a, id_b = (part.strip() for part in args.pair.split(","))
@@ -343,18 +316,15 @@ def _cmd_generate(args) -> int:
             raise AtckitError(f"bad --label-prior {args.label_prior!r}") from None
     if args.temperature != 1.0 or prior is not None:
         shift = Shift(temperature=args.temperature, label_prior=prior)
-    try:
-        spec = GeneratorSpec(
-            k=args.k,
-            n=args.n,
-            target_accuracy=args.accuracy,
-            concentration=args.concentration,
-            shift=shift,
-            seed=args.seed,
-        )
-        data = generate(spec)
-    except ValueError as exc:
-        raise AtckitError(str(exc)) from None
+    spec = GeneratorSpec(
+        k=args.k,
+        n=args.n,
+        target_accuracy=args.accuracy,
+        concentration=args.concentration,
+        shift=shift,
+        seed=args.seed,
+    )
+    data = generate(spec)
     write_dump(data, args.out, fmt=args.format)
     print(f"wrote {args.out} ({args.n} rows, k={args.k})")
     return _EXIT_OK

@@ -9,8 +9,20 @@ class DimensionError(AtckitError):
     """A probability vector has fewer than two components."""
 
 
+class InvalidArgumentError(AtckitError, ValueError):
+    """A parameter or flag value is outside its allowed range."""
+
+
 class NotOnSimplexError(AtckitError):
-    """A vector is too far from the probability simplex to repair."""
+    """A vector is too far from the probability simplex to repair.
+
+    ``row`` is the offending row's index and ``detail`` what is wrong with
+    it; ``where`` names the row in the message (default ``row <row>``).
+    """
+
+    def __init__(self, row: int, detail: str, where: str = ""):
+        super().__init__(f"{where or f'row {row}'}: {detail}")
+        self.row, self.detail = row, detail
 
 
 class MissingLabelsError(AtckitError):

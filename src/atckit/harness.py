@@ -23,9 +23,9 @@ import numpy as np
 
 from .atc import atc_estimate
 from .doc import DocMode, bootstrap_calibration, doc_estimate
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidArgumentError
 from .scores import SCORE_IDS, ScoreFunction
-from .simplex import PredictionSet, true_accuracy
+from .simplex import MetricValue, PredictionSet, true_accuracy
 
 #: Every method id the harness understands, in canonical output order.
 CANONICAL_METHODS = SCORE_IDS + ("doc", "doc-reg")
@@ -40,23 +40,21 @@ class BenchmarkConfig:
     n_boot: int = 1000
     ci_level: float = 0.95
     master_seed: int = 0
-    dimensions: tuple = ()
 
     def __post_init__(self):
         methods = tuple(dict.fromkeys(self.methods))  # dedupe, keep order
         unknown = [m for m in methods if m not in CANONICAL_METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {unknown}; choose from {CANONICAL_METHODS}")
+            raise InvalidArgumentError(f"unknown methods: {unknown}; choose from {CANONICAL_METHODS}")
         if not methods:
-            raise ValueError("need at least one method")
+            raise InvalidArgumentError("need at least one method")
         # canonical order regardless of how the caller listed them
         methods = tuple(m for m in CANONICAL_METHODS if m in methods)
         object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
         if self.n_boot < 1:
-            raise ValueError("n_boot must be at least 1")
+            raise InvalidArgumentError(f"n_boot must be at least 1, got {self.n_boot}")
         if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must lie strictly between 0 and 1")
+            raise InvalidArgumentError(f"ci_level must lie strictly between 0 and 1, got {self.ci_level}")
 
 
 @dataclass(frozen=True)
@@ -95,17 +93,18 @@ class PairwiseDifference:
     significant: bool  # interval excludes zero
 
 
-def run_seed(master_seed: int, dimension: int, run_index: int) -> int:
-    """Stable 64-bit seed for one bootstrap run.
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed: blake2b (8 bytes) of the ``:``-joined parts.
 
     Derived by hashing rather than drawn from a stream so any subset of
-    runs can be reproduced in isolation. The method is deliberately not
-    part of the key: all methods within a run must see the same
-    resample, otherwise estimator comparisons would be confounded by
-    resampling noise (and the exact per-run equalities between
-    order-equivalent score functions could not hold).
+    runs can be reproduced in isolation. A bootstrap run's seed is
+    ``derive_seed(master_seed, dimension, run_index)``; the method is
+    deliberately not part of the key: all methods within a run must see
+    the same resample, otherwise estimator comparisons would be
+    confounded by resampling noise (and the exact per-run equalities
+    between order-equivalent score functions could not hold).
     """
-    key = f"{master_seed}:{dimension}:{run_index}".encode()
+    key = ":".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
@@ -117,15 +116,26 @@ def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     return data.subset(rng.integers(0, len(data), size=len(data)))
 
 
-def _estimate_accuracy(method: str, source: PredictionSet, target: PredictionSet, seed) -> float:
+def estimate_metric(
+    method: str,
+    source: PredictionSet,
+    target: PredictionSet,
+    seed,
+    calibration_sets: int = DOC_REG_CALIBRATION_SETS,
+) -> MetricValue:
+    """Target metric estimated by one of :data:`CANONICAL_METHODS`.
+
+    ``seed`` only matters for ``doc-reg``, whose ``calibration_sets``
+    resamples of ``source`` are drawn from ``[seed, 1]``.
+    """
     if method in SCORE_IDS:
-        return atc_estimate(source, target, ScoreFunction(method)).accuracy
+        return atc_estimate(source, target, ScoreFunction(method)).target_value
     if method == "doc":
-        return doc_estimate(source, target, DocMode.NAIVE).accuracy
+        return doc_estimate(source, target, DocMode.NAIVE)
     if method == "doc-reg":
-        calibration = bootstrap_calibration(source, DOC_REG_CALIBRATION_SETS, seed=[seed, 1])
-        return doc_estimate(source, target, DocMode.REGRESSION, calibration=calibration).accuracy
-    raise ValueError(f"unknown method {method!r}")
+        calibration = bootstrap_calibration(source, calibration_sets, seed=[seed, 1])
+        return doc_estimate(source, target, DocMode.REGRESSION, calibration=calibration)
+    raise InvalidArgumentError(f"unknown method {method!r}")
 
 
 def run_benchmark(
@@ -141,10 +151,10 @@ def run_benchmark(
     dimension = test.k
     records = []
     for run_index in range(config.n_boot):
-        seed = run_seed(config.master_seed, dimension, run_index)
+        seed = derive_seed(config.master_seed, dimension, run_index)
         resample = bootstrap_resample(source_val, seed)
         for method in config.methods:
-            estimate = _estimate_accuracy(method, resample, test, seed)
+            estimate = estimate_metric(method, resample, test, seed).accuracy
             records.append(
                 RunRecord(dimension, method, run_index, abs(true_acc - estimate))
             )
@@ -158,7 +168,7 @@ def run_benchmark_suite(pairs, config: BenchmarkConfig) -> list[RunRecord]:
     seen_dims = set()
     for source_val, test in pairs:
         if test.k in seen_dims:
-            raise ValueError(f"two pairs share dimension k={test.k}")
+            raise InvalidArgumentError(f"two pairs share dimension k={test.k}")
         seen_dims.add(test.k)
         records.extend(run_benchmark(source_val, test, config))
     records.sort(key=_canonical_key)
@@ -239,7 +249,7 @@ def pairwise_difference_report(records, ci_level: float = 0.95) -> list[Pairwise
     for dim in dims:
         methods = [m for m in CANONICAL_METHODS if (dim, m) in groups]
         if len(methods) < 2:
-            raise ValueError(f"dimension {dim} has fewer than two methods to compare")
+            raise InvalidArgumentError(f"dimension {dim} has fewer than two methods to compare")
         for i, method_a in enumerate(methods):
             for method_b in methods[i + 1 :]:
                 diffs = groups[(dim, method_a)] - groups[(dim, method_b)]

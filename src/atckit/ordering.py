@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .scores import Scorer, score_batch
 
 
@@ -130,16 +130,20 @@ def verify_on_sample(
     is capped at ``max_points`` (raise the cap explicitly if you really
     want a larger sample).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if n_points < 2:
-        raise ValueError("need at least two points to compare")
-    if n_points > max_points:
-        raise ValueError(
-            f"n_points={n_points} exceeds max_points={max_points}; "
-            "pass a larger max_points to override"
-        )
+    _check_sample(k, n_points, max_points)
     return verify_on_points(sample_simplex(k, n_points, seed), fn_a, fn_b, eps)
+
+
+def _check_sample(k: int, n_points: int, max_points: int) -> None:
+    if k < 2:
+        raise InvalidArgumentError(f"k must be at least 2, got {k}")
+    if n_points < 2:
+        raise InvalidArgumentError(f"need at least two points to compare, got {n_points}")
+    if n_points > max_points:
+        raise InvalidArgumentError(
+            f"n_points={n_points} exceeds max_points={max_points} "
+            "(the pairwise check is quadratic)"
+        )
 
 
 def _compositions(total: int, parts: int):
@@ -186,7 +190,7 @@ def search_counterexample(
     exceed ``budget``. Returns a verified witness or None.
     """
     if budget < 1:
-        raise ValueError("budget must be at least 1")
+        raise InvalidArgumentError("budget must be at least 1")
     # largest pool size m with m*(m-1)/2 <= budget
     m = max(2, (1 + isqrt(1 + 8 * budget)) // 2)
     pool = simplex_grid(k, 0.1, limit=m)
@@ -249,11 +253,7 @@ def verify_equivalence_relation(
     and the resulting classes (connected components of the relation).
     ``n_points`` is capped like in :func:`verify_on_sample`.
     """
-    if n_points > max_points:
-        raise ValueError(
-            f"n_points={n_points} exceeds max_points={max_points}; "
-            "pass a larger max_points to override"
-        )
+    _check_sample(k, n_points, max_points)
     fns = tuple(fns)
     n_fns = len(fns)
     points = sample_simplex(k, n_points, seed)
@@ -265,7 +265,7 @@ def verify_equivalence_relation(
             v = verify_on_points(points, fns[i], fns[j], eps)
             if v.consistent and search_budget > 0 and i != j:
                 witness = search_counterexample(
-                    fns[i], fns[j], k, search_budget, seed=[_stable_int(seed), i, j], eps=eps
+                    fns[i], fns[j], k, search_budget, seed=[*np.ravel(seed), i, j], eps=eps
                 )
                 if witness is not None:
                     v = OrderingVerdict(
@@ -301,12 +301,6 @@ def verify_equivalence_relation(
         points_checked=points.shape[0],
         equality_tolerance=eps,
     )
-
-
-def _stable_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return abs(hash(tuple(np.ravel(seed)))) % (2**32)
 
 
 def squared_distance_to(reference) -> "Scorer":

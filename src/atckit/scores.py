@@ -160,8 +160,3 @@ def score(v, fn: Scorer) -> float:
     """Score a single probability vector (assumed already validated)."""
     probs = np.atleast_2d(np.asarray(v, dtype=np.float64))
     return float(as_scorer(fn)(probs)[0])
-
-
-def apply_transform(v, transform: MonotoneTransform) -> float:
-    """Transformed score of a single vector: ``g(score(v, base))``."""
-    return score(v, transform)

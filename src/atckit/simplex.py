@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     DimensionMismatchError,
     EmptyInputError,
+    InvalidArgumentError,
     MissingLabelsError,
     NotOnSimplexError,
 )
@@ -90,20 +91,17 @@ def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
         raise DimensionError(f"probability vectors need k >= 2 components, got k={k}")
     if not np.all(np.isfinite(probs)):
         bad = int(np.argwhere(~np.all(np.isfinite(probs), axis=1))[0, 0])
-        raise NotOnSimplexError(f"row {bad}: non-finite component")
+        raise NotOnSimplexError(bad, "non-finite component")
     if np.any(probs < -tolerance):
         bad = int(np.argwhere(np.any(probs < -tolerance, axis=1))[0, 0])
-        raise NotOnSimplexError(
-            f"row {bad}: component below -{tolerance:g} ({probs[bad].min():.6g})"
-        )
+        raise NotOnSimplexError(bad, f"component below -{tolerance:g} ({probs[bad].min():.6g})")
     probs = np.where(probs < 0.0, 0.0, probs)
     sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > tolerance
     if np.any(off):
         bad = int(np.argwhere(off)[0, 0])
         raise NotOnSimplexError(
-            f"row {bad}: components sum to {sums[bad]:.9g}, "
-            f"further than {tolerance:g} from 1"
+            bad, f"components sum to {sums[bad]:.9g}, further than {tolerance:g} from 1"
         )
     probs /= sums[:, None]
     probs.setflags(write=False)
@@ -140,7 +138,7 @@ class PredictionSet:
                     f"{labels.size} labels for {probs.shape[0]} vectors"
                 )
             if labels.min() < 0 or labels.max() >= probs.shape[1]:
-                raise ValueError(f"labels must lie in [0, {probs.shape[1]})")
+                raise InvalidArgumentError(f"labels must lie in [0, {probs.shape[1]})")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 

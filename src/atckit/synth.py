@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .simplex import PredictionSet, validate_vector
 
 #: Rejection rounds before forcing the argmax deterministically.
@@ -33,7 +34,7 @@ class Shift:
 
     def __post_init__(self):
         if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+            raise InvalidArgumentError("temperature must be positive")
         if self.label_prior is not None:
             object.__setattr__(self, "label_prior", tuple(float(x) for x in self.label_prior))
 
@@ -51,13 +52,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be at least 2")
+            raise InvalidArgumentError("k must be at least 2")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise InvalidArgumentError("n must be at least 1")
         if not 0.0 < self.target_accuracy <= 1.0:
-            raise ValueError("target_accuracy must lie in (0, 1]")
+            raise InvalidArgumentError("target_accuracy must lie in (0, 1]")
         if not self.concentration > 0:
-            raise ValueError("concentration must be positive")
+            raise InvalidArgumentError("concentration must be positive")
 
 
 def _label_prior(spec: GeneratorSpec) -> np.ndarray:
@@ -65,7 +66,7 @@ def _label_prior(spec: GeneratorSpec) -> np.ndarray:
         return np.full(spec.k, 1.0 / spec.k)
     prior = validate_vector(spec.shift.label_prior)
     if prior.size != spec.k:
-        raise ValueError(f"label prior has {prior.size} entries for k={spec.k}")
+        raise InvalidArgumentError(f"label prior has {prior.size} entries for k={spec.k}")
     return prior
 
 

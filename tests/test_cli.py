@@ -236,6 +236,37 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
 
+BAD_FLAG_VALUES = [
+    ["benchmark", "--synthetic", "--n", "50", "--boot", "0"],
+    ["benchmark", "--synthetic", "--n", "50", "--ci", "1.5"],
+    ["benchmark", "--synthetic", "--n", "50", "--k", "1"],
+    ["benchmark", "--synthetic", "--n", "50", "--accuracy", "0"],
+    ["benchmark", "--synthetic", "--n", "50", "--temperature", "0"],
+    ["benchmark", "--synthetic", "--n", "50", "--k", "3", "3"],
+    ["verify", "--k", "0"],
+    ["verify", "--k", "1"],
+    ["verify", "--k", "3", "--points", "1"],
+    ["verify", "--k", "3", "--points", "3000"],
+    ["verify", "--k", "1", "--pair", "l2n,max"],
+    ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
+]
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=" ".join)
+    def test_input_error_exit_without_traceback(self, argv, tmp_path, capsys):
+        outputs = {"benchmark": ["--out-dir", str(tmp_path)], "generate": ["--out", str(tmp_path / "x")]}
+        assert main(argv + outputs.get(argv[0], [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_json_label_out_of_range(self, tmp_path, capsys):
+        dump = tmp_path / "bad.json"
+        dump.write_text('{"probs": [[0.9, 0.1], [0.5, 0.5]], "labels": [0, 5]}')
+        assert main(["estimate", "--source", str(dump), "--target", str(dump)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEntryPoint:
     def test_module_invocation_and_exit_codes(self, tmp_path):
         out = tmp_path / "dump.csv"

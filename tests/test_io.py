@@ -7,10 +7,21 @@ from atckit import (
     GeneratorSpec,
     NotOnSimplexError,
     ParseError,
+    PredictionSet,
     generate,
     load_dump,
     write_dump,
 )
+
+
+#: (file name, contents, where the bad row is named): CSV diagnostics name
+#: the file line, JSON ones the row index.
+BAD_ROWS = [
+    ("far.csv", "p0,p1\n0.5,0.5\n0.5,0.6\n", "line 3"),
+    ("blanks.csv", "p0,p1\n\n0.5,0.5\n\n0.5,0.5\n0.5,0.6\n", "line 6"),
+    ("nan.csv", "p0,p1\n0.5,0.5\n0.5,0.5\nnan,0.5\n", "line 4"),
+    ("far.json", '{"probs": [[0.5, 0.5], [0.5, 0.6]]}', "row 1"),
+]
 
 
 @pytest.fixture
@@ -68,10 +79,18 @@ class TestParsing:
         assert abs(data.probs[0].sum() - 1.0) <= 1e-12
 
     def test_far_row_rejected_with_line_number(self, tmp_path):
-        path = tmp_path / "far.csv"
-        path.write_text("p0,p1\n0.5,0.5\n0.5,0.6\n")
-        with pytest.raises(NotOnSimplexError, match="line 3"):
-            load_dump(path)
+        for name, text, where in BAD_ROWS:
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(NotOnSimplexError, match=f"^{where}: "):
+                load_dump(path)
+
+    def test_clamped_negatives_accepted_like_prediction_set(self, tmp_path):
+        # each component is within the tolerance of 0, so it clamps before the sum check
+        row = [0.5, 0.5, -9e-7, -9e-7]
+        path = tmp_path / "edge.csv"
+        path.write_text("p0,p1,p2,p3\n" + ",".join(map(str, row)) + "\n")
+        assert np.array_equal(load_dump(path).probs, PredictionSet([row]).probs)
 
     def test_strict_mode_rejects_what_renormalize_allows(self, tmp_path):
         path = tmp_path / "loose.csv"

@@ -9,7 +9,6 @@ from atckit import (
     MonotoneTransform,
     PredictionSet,
     ScoreFunction,
-    apply_transform,
     score,
     score_batch,
     uniform_vector,
@@ -121,17 +120,17 @@ class TestStructuralProperties:
 class TestMonotoneTransforms:
     def test_affine_example(self):
         t = MonotoneTransform.affine(ScoreFunction.MAX_CONF, 2.0, 1.0)
-        assert apply_transform([0.9, 0.1], t) == pytest.approx(2.8, abs=1e-12)
+        assert score([0.9, 0.1], t) == pytest.approx(2.8, abs=1e-12)
 
     def test_odd_power_example(self):
         t = MonotoneTransform.odd_power(ScoreFunction.MAX_CONF, 3)
-        assert apply_transform([0.5, 0.5], t) == pytest.approx(0.125, abs=1e-12)
+        assert score([0.5, 0.5], t) == pytest.approx(0.125, abs=1e-12)
 
     def test_identity_transform(self):
         rng = np.random.default_rng(2)
         identity = MonotoneTransform.affine(ScoreFunction.JS_TO_UNIFORM, 1.0, 0.0)
         for p in rng.dirichlet(np.ones(3), size=10):
-            assert apply_transform(p, identity) == score(p, ScoreFunction.JS_TO_UNIFORM)
+            assert score(p, identity) == score(p, ScoreFunction.JS_TO_UNIFORM)
 
     def test_catalog_rejects_non_monotone(self):
         with pytest.raises(ValueError):
