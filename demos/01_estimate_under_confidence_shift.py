@@ -8,8 +8,6 @@ fraction. Compares every score function and the difference-of-confidence
 baseline against the (here known) ground truth.
 """
 
-import numpy as np
-
 from atckit import (
     GeneratorSpec,
     ScoreFunction,
@@ -51,14 +49,11 @@ print(f"below-threshold fraction achieved on validation: "
       f"(target was {model.source_metric.error:.4f})")
 
 # Uncertainty via bootstrap: resample the validation set and look at the
-# spread of the resulting estimates.
-from atckit import bootstrap_resample
-from atckit.harness import derive_seed
+# spread of the resulting estimates (the same resamples `atckit estimate
+# --boot 200 --seed 0` and the benchmark harness use).
+from atckit.harness import bootstrap_estimates, summarize
 
-estimates = []
-for i in range(200):
-    resample = bootstrap_resample(validation, derive_seed(0, spec.k, i))
-    estimates.append(atc_estimate(resample, deployment, ScoreFunction.MAX_CONF).accuracy)
-lo, hi = np.quantile(estimates, [0.025, 0.975])
+runs = bootstrap_estimates(validation, deployment, ["max"], n_boot=200, master_seed=0)
+mean, lo, hi = summarize([value.accuracy for value in runs["max"]])
 print()
-print(f"atc-max bootstrap: mean {np.mean(estimates):.2%}, 95% interval [{lo:.2%}, {hi:.2%}]")
+print(f"atc-max bootstrap: mean {mean:.2%}, 95% interval [{lo:.2%}, {hi:.2%}]")

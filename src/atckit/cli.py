@@ -21,26 +21,25 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import AtckitError, MissingLabelsError
 from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
     aggregate,
-    bootstrap_resample,
+    bootstrap_estimates,
     derive_seed,
     estimate_metric,
     format_aggregate_table,
     pairwise_difference_report,
     rank_methods,
     run_benchmark_suite,
+    summarize,
     write_aggregate_csv,
     write_runs_csv,
 )
 from .io import load_dump, write_dump
-from .ordering import search_counterexample, verify_equivalence_relation, verify_on_sample
+from .ordering import verify_equivalence_relation, verify_on_sample
 from .scores import SCORE_IDS, ScoreFunction
 from .simplex import Convention
 from .synth import GeneratorSpec, Shift, generate, make_shift_pair
@@ -83,20 +82,14 @@ def _cmd_estimate(args) -> int:
     else:
         methods = (args.method,)
 
-    def metric(method, labeled):
-        value = estimate_metric(method, labeled, target, args.seed, args.calibration_sets)
-        return value.converted(convention).value
-
+    boot = bootstrap_estimates(source, target, methods, args.boot, args.seed, args.calibration_sets)
     for method in methods:
         label = f"atc-{method}" if method in SCORE_IDS else method
-        line = f"{label:<10} {_pct(metric(method, source))}"
+        point = estimate_metric(method, source, target, args.seed, args.calibration_sets)
+        line = f"{label:<10} {_pct(point.converted(convention).value)}"
         if args.boot > 0:
-            values = []
-            for i in range(args.boot):
-                resample = bootstrap_resample(source, derive_seed(args.seed, source.k, i))
-                values.append(metric(method, resample))
-            lo, hi = np.quantile(values, [0.025, 0.975])
-            line += f"  boot {_pct(float(np.mean(values)))} [{_pct(float(lo))},{_pct(float(hi))}]"
+            mean, lo, hi = summarize([v.converted(convention).value for v in boot[method]])
+            line += f"  boot {_pct(mean)} [{_pct(lo)},{_pct(hi)}]"
         print(line)
     return _EXIT_OK
 
@@ -224,15 +217,16 @@ def _predicted_consistent(a: ScoreFunction, b: ScoreFunction, k: int) -> bool:
     return any({a.value, b.value} <= cls for cls in _predicted_classes(k))
 
 
-def _verdict_record(fn_a, fn_b, k, consistent, pairs_checked, eps, witness) -> dict:
+def _verdict_record(fn_a, fn_b, k, verdict) -> dict:
     record = {
         "fn_a": fn_a.value,
         "fn_b": fn_b.value,
         "k": k,
-        "status": "consistent-on-sample" if consistent else "counterexample",
-        "pairs_checked": pairs_checked,
-        "eps": eps,
+        "status": verdict.status.value,
+        "pairs_checked": verdict.pairs_checked,
+        "eps": verdict.equality_tolerance,
     }
+    witness = verdict.witness
     if witness is not None:
         record["witness"] = {
             "p": [float(x) for x in witness.p],
@@ -250,15 +244,11 @@ def _cmd_verify(args) -> int:
             fn_a, fn_b = ScoreFunction(id_a), ScoreFunction(id_b)
         except ValueError:
             raise AtckitError(f"--pair must be two of {SCORE_IDS}, got {args.pair!r}") from None
-        verdict = verify_on_sample(fn_a, fn_b, args.k, args.points, args.seed, args.eps)
-        witness = verdict.witness
-        pairs_checked = verdict.pairs_checked
-        if verdict.consistent and args.budget > 0 and fn_a is not fn_b:
-            witness = search_counterexample(fn_a, fn_b, args.k, args.budget, args.seed, args.eps)
-            pairs_checked += args.budget
-        consistent = witness is None
-        print(json.dumps(_verdict_record(fn_a, fn_b, args.k, consistent, pairs_checked, args.eps, witness)))
-        matches = consistent == _predicted_consistent(fn_a, fn_b, args.k)
+        verdict = verify_on_sample(
+            fn_a, fn_b, args.k, args.points, args.seed, args.eps, search_budget=args.budget
+        )
+        print(json.dumps(_verdict_record(fn_a, fn_b, args.k, verdict)))
+        matches = verdict.consistent == _predicted_consistent(fn_a, fn_b, args.k)
         print(f"expected-consistency match: {matches}")
         return _EXIT_OK if matches else _EXIT_VERIFY_MISMATCH
 
@@ -267,16 +257,8 @@ def _cmd_verify(args) -> int:
         fns, args.k, args.points, args.seed, args.eps, search_budget=args.budget
     )
     for (i, j), verdict in sorted(report.verdicts.items()):
-        if i == j:
-            continue
-        print(
-            json.dumps(
-                _verdict_record(
-                    fns[i], fns[j], args.k, verdict.consistent,
-                    verdict.pairs_checked, args.eps, verdict.witness,
-                )
-            )
-        )
+        if i != j:
+            print(json.dumps(_verdict_record(fns[i], fns[j], args.k, verdict)))
     classes = {frozenset(fn.value for fn in cls) for cls in report.classes}
     print("classes: " + json.dumps(sorted(sorted(cls) for cls in classes)))
     ok = (
@@ -307,21 +289,18 @@ def _add_generate_parser(subparsers) -> None:
 
 
 def _cmd_generate(args) -> int:
-    shift = None
     prior = None
     if args.label_prior:
         try:
             prior = tuple(float(x) for x in args.label_prior.split(","))
         except ValueError:
             raise AtckitError(f"bad --label-prior {args.label_prior!r}") from None
-    if args.temperature != 1.0 or prior is not None:
-        shift = Shift(temperature=args.temperature, label_prior=prior)
     spec = GeneratorSpec(
         k=args.k,
         n=args.n,
         target_accuracy=args.accuracy,
         concentration=args.concentration,
-        shift=shift,
+        shift=Shift(temperature=args.temperature, label_prior=prior),
         seed=args.seed,
     )
     data = generate(spec)

@@ -97,12 +97,7 @@ def derive_seed(*parts) -> int:
     """Stable 64-bit seed: blake2b (8 bytes) of the ``:``-joined parts.
 
     Derived by hashing rather than drawn from a stream so any subset of
-    runs can be reproduced in isolation. A bootstrap run's seed is
-    ``derive_seed(master_seed, dimension, run_index)``; the method is
-    deliberately not part of the key: all methods within a run must see
-    the same resample, otherwise estimator comparisons would be
-    confounded by resampling noise (and the exact per-run equalities
-    between order-equivalent score functions could not hold).
+    runs can be reproduced in isolation.
     """
     key = ":".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
@@ -138,6 +133,30 @@ def estimate_metric(
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
+def bootstrap_estimates(
+    source: PredictionSet,
+    target: PredictionSet,
+    methods,
+    n_boot: int,
+    master_seed,
+    calibration_sets: int = DOC_REG_CALIBRATION_SETS,
+) -> dict:
+    """``{method: [MetricValue per run]}`` over ``n_boot`` resamples of ``source``.
+
+    Run ``i`` resamples with ``derive_seed(master_seed, source.k, i)``
+    and every method in the run gets that seed (``doc-reg`` draws its
+    calibration sets from it), so methods are compared on identical
+    resamples and order-equivalent scores give equal per-run estimates.
+    """
+    estimates = {method: [] for method in methods}
+    for run_index in range(n_boot):
+        seed = derive_seed(master_seed, source.k, run_index)
+        resample = bootstrap_resample(source, seed)
+        for method, values in estimates.items():
+            values.append(estimate_metric(method, resample, target, seed, calibration_sets))
+    return estimates
+
+
 def run_benchmark(
     source_val: PredictionSet, test: PredictionSet, config: BenchmarkConfig
 ) -> list[RunRecord]:
@@ -148,18 +167,12 @@ def run_benchmark(
     estimates are scored against.
     """
     true_acc = true_accuracy(test).accuracy
-    dimension = test.k
-    records = []
-    for run_index in range(config.n_boot):
-        seed = derive_seed(config.master_seed, dimension, run_index)
-        resample = bootstrap_resample(source_val, seed)
-        for method in config.methods:
-            estimate = estimate_metric(method, resample, test, seed).accuracy
-            records.append(
-                RunRecord(dimension, method, run_index, abs(true_acc - estimate))
-            )
-    records.sort(key=_canonical_key)
-    return records
+    runs = bootstrap_estimates(source_val, test, config.methods, config.n_boot, config.master_seed)
+    return [
+        RunRecord(test.k, method, run_index, abs(true_acc - value.accuracy))
+        for method, values in runs.items()
+        for run_index, value in enumerate(values)
+    ]
 
 
 def run_benchmark_suite(pairs, config: BenchmarkConfig) -> list[RunRecord]:
@@ -171,12 +184,8 @@ def run_benchmark_suite(pairs, config: BenchmarkConfig) -> list[RunRecord]:
             raise InvalidArgumentError(f"two pairs share dimension k={test.k}")
         seen_dims.add(test.k)
         records.extend(run_benchmark(source_val, test, config))
-    records.sort(key=_canonical_key)
+    records.sort(key=lambda r: r.dimension)  # stable: each dimension is already canonical
     return records
-
-
-def _canonical_key(record: RunRecord):
-    return (record.dimension, CANONICAL_METHODS.index(record.method), record.run_index)
 
 
 def _grouped_errors(records) -> dict:
@@ -189,21 +198,26 @@ def _grouped_errors(records) -> dict:
     return groups
 
 
-def aggregate(records, ci_level: float = 0.95) -> list[AggregateRow]:
-    """Mean and percentile interval of abs_error per (dimension, method).
+def summarize(values, ci_level: float = 0.95) -> tuple[float, float, float]:
+    """``(mean, lo, hi)``: the mean and percentile interval of ``values``.
 
     Interval endpoints are the (1-ci)/2 and 1-(1-ci)/2 empirical
     quantiles with linear interpolation between order statistics.
     """
+    alpha = (1.0 - ci_level) / 2.0
+    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
+    return float(np.mean(values)), float(lo), float(hi)
+
+
+def aggregate(records, ci_level: float = 0.95) -> list[AggregateRow]:
+    """:func:`summarize` of abs_error per (dimension, method)."""
     if not records:
         raise EmptyInputError("no records to aggregate")
-    alpha = (1.0 - ci_level) / 2.0
     rows = []
     for (dimension, method), errors in sorted(
         _grouped_errors(records).items(), key=lambda kv: (kv[0][0], CANONICAL_METHODS.index(kv[0][1]))
     ):
-        lo, hi = np.quantile(errors, [alpha, 1.0 - alpha])
-        rows.append(AggregateRow(dimension, method, float(np.mean(errors)), float(lo), float(hi)))
+        rows.append(AggregateRow(dimension, method, *summarize(errors, ci_level)))
     return rows
 
 
@@ -244,7 +258,6 @@ def pairwise_difference_report(records, ci_level: float = 0.95) -> list[Pairwise
     """
     groups = _grouped_errors(records)
     dims = sorted({dim for dim, _ in groups})
-    alpha = (1.0 - ci_level) / 2.0
     report = []
     for dim in dims:
         methods = [m for m in CANONICAL_METHODS if (dim, m) in groups]
@@ -253,15 +266,15 @@ def pairwise_difference_report(records, ci_level: float = 0.95) -> list[Pairwise
         for i, method_a in enumerate(methods):
             for method_b in methods[i + 1 :]:
                 diffs = groups[(dim, method_a)] - groups[(dim, method_b)]
-                lo, hi = np.quantile(diffs, [alpha, 1.0 - alpha])
+                mean, lo, hi = summarize(diffs, ci_level)
                 report.append(
                     PairwiseDifference(
                         dimension=dim,
                         method_a=method_a,
                         method_b=method_b,
-                        mean_diff=float(np.mean(diffs)),
-                        ci_low=float(lo),
-                        ci_high=float(hi),
+                        mean_diff=mean,
+                        ci_low=lo,
+                        ci_high=hi,
                         significant=bool(lo > 0.0 or hi < 0.0),
                     )
                 )

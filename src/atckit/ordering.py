@@ -122,16 +122,19 @@ def verify_on_sample(
     n_points: int,
     seed,
     eps: float = 1e-12,
+    search_budget: int = 0,
     max_points: int = 2000,
 ) -> OrderingVerdict:
     """Pairwise check over ``n_points`` uniform samples from the simplex.
 
-    The all-pairs check is quadratic in the sample size, so ``n_points``
-    is capped at ``max_points`` (raise the cap explicitly if you really
-    want a larger sample).
+    With ``search_budget`` > 0, a pair that looks consistent on the
+    sample is additionally attacked with :func:`search_counterexample`
+    (seeded with ``seed``). The all-pairs check is quadratic in the
+    sample size, so ``n_points`` is capped at ``max_points`` (raise the
+    cap explicitly if you really want a larger sample).
     """
     _check_sample(k, n_points, max_points)
-    return verify_on_points(sample_simplex(k, n_points, seed), fn_a, fn_b, eps)
+    return _pair_verdict(sample_simplex(k, n_points, seed), fn_a, fn_b, k, eps, search_budget, seed)
 
 
 def _check_sample(k: int, n_points: int, max_points: int) -> None:
@@ -191,14 +194,33 @@ def search_counterexample(
     """
     if budget < 1:
         raise InvalidArgumentError("budget must be at least 1")
-    # largest pool size m with m*(m-1)/2 <= budget
-    m = max(2, (1 + isqrt(1 + 8 * budget)) // 2)
+    m = _pool_size(budget)
     pool = simplex_grid(k, 0.1, limit=m)
     if pool.shape[0] < m:
         extra = sample_simplex(k, m - pool.shape[0], seed)
         pool = np.vstack([pool, extra])
     verdict = verify_on_points(pool, fn_a, fn_b, eps)
     return verdict.witness
+
+
+def _pool_size(budget: int) -> int:
+    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2)."""
+    return max(2, (1 + isqrt(1 + 8 * budget)) // 2)
+
+
+def _pair_verdict(points, fn_a, fn_b, k, eps, search_budget, search_seed) -> OrderingVerdict:
+    """Dense check on ``points``, then a search when two distinct functions agree.
+
+    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool
+    pairs the search compared, whether or not it found a witness.
+    """
+    verdict = verify_on_points(points, fn_a, fn_b, eps)
+    if not verdict.consistent or search_budget <= 0 or fn_a is fn_b:
+        return verdict
+    witness = search_counterexample(fn_a, fn_b, k, search_budget, search_seed, eps)
+    m = _pool_size(search_budget)
+    status = VerdictStatus.CONSISTENT_ON_SAMPLE if witness is None else VerdictStatus.COUNTEREXAMPLE
+    return OrderingVerdict(status, verdict.pairs_checked + m * (m - 1) // 2, eps, witness)
 
 
 @dataclass(frozen=True)
@@ -211,8 +233,6 @@ class EquivalenceReport:
     transitivity_violations: tuple  # (i, j, l) index triples
     reflexive: bool
     symmetric: bool
-    points_checked: int
-    equality_tolerance: float
 
 
 def _connected_components(n: int, adjacent) -> tuple:
@@ -246,11 +266,10 @@ def verify_equivalence_relation(
     """Check that consistent-on-sample behaves like an equivalence relation.
 
     All functions are evaluated on one shared sample so the pairwise
-    verdicts are comparable. With ``search_budget`` > 0, pairs that look
-    consistent on the sample are additionally attacked with
-    :func:`search_counterexample` before being declared equivalent.
-    Reports reflexivity, symmetry, any transitivity-violating triples,
-    and the resulting classes (connected components of the relation).
+    verdicts are comparable. ``search_budget`` works as in
+    :func:`verify_on_sample`, with a per-pair search seed. Reports
+    reflexivity, symmetry, any transitivity-violating triples, and the
+    resulting classes (connected components of the relation).
     ``n_points`` is capped like in :func:`verify_on_sample`.
     """
     _check_sample(k, n_points, max_points)
@@ -262,18 +281,8 @@ def verify_equivalence_relation(
     consistent = np.ones((n_fns, n_fns), dtype=bool)
     for i in range(n_fns):
         for j in range(i, n_fns):
-            v = verify_on_points(points, fns[i], fns[j], eps)
-            if v.consistent and search_budget > 0 and i != j:
-                witness = search_counterexample(
-                    fns[i], fns[j], k, search_budget, seed=[*np.ravel(seed), i, j], eps=eps
-                )
-                if witness is not None:
-                    v = OrderingVerdict(
-                        VerdictStatus.COUNTEREXAMPLE,
-                        v.pairs_checked + search_budget,
-                        eps,
-                        witness,
-                    )
+            search_seed = [*np.ravel(seed), i, j]
+            v = _pair_verdict(points, fns[i], fns[j], k, eps, search_budget, search_seed)
             verdicts[(i, j)] = v
             consistent[i, j] = consistent[j, i] = v.consistent
 
@@ -298,8 +307,6 @@ def verify_equivalence_relation(
         transitivity_violations=violations,
         reflexive=reflexive,
         symmetric=symmetric,
-        points_checked=points.shape[0],
-        equality_tolerance=eps,
     )
 
 

@@ -81,6 +81,23 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "boot" in out and "[" in out
 
+    def test_bootstrap_uses_the_benchmark_run_seeds(self, tmp_path, capsys):
+        # run i resamples with derive_seed(seed, k, i), and doc-reg calibrates
+        # from that same run seed, exactly as in the benchmark harness
+        from atckit.harness import bootstrap_resample, derive_seed, estimate_metric, summarize
+
+        src, tgt = _write_pair(tmp_path, k=3, n=120)
+        main(["estimate", "--source", str(src), "--target", str(tgt), "--method", "doc-reg",
+              "--boot", "5", "--seed", "7"])
+        source, target = load_dump(src), load_dump(tgt)
+        seeds = [derive_seed(7, 3, i) for i in range(5)]
+        values = [
+            estimate_metric("doc-reg", bootstrap_resample(source, s), target, s).accuracy
+            for s in seeds
+        ]
+        mean, lo, hi = (f"{100.0 * x:.2f}" for x in summarize(values))
+        assert capsys.readouterr().out.split("boot")[1].strip() == f"{mean} [{lo},{hi}]"
+
     def test_unlabeled_source_is_input_error(self, tmp_path, capsys):
         data = generate(GeneratorSpec(k=2, n=10, target_accuracy=0.9, seed=0))
         unlabeled = type(data)(data.probs)
@@ -190,6 +207,18 @@ class TestVerify:
         code = main(["verify", "--k", "3", "--points", "2", "--budget", "0",
                      "--pair", "l2n,max", "--seed", "0"])
         assert code == 1
+
+    def test_pairs_checked_counts_sample_and_search_pairs(self, capsys):
+        # 50 points give 1225 sample pairs; budget 100 gives a 14-point
+        # search pool, 91 pairs, counted whether or not a witness turns up
+        flags = ["--k", "3", "--points", "50", "--budget", "100", "--seed", "0"]
+        assert main(["verify", *flags, "--pair", "l2n,l2u"]) == 0
+        single = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert main(["verify", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines if line.startswith("{")]
+        (paired,) = [r for r in records if {r["fn_a"], r["fn_b"]} == {"l2n", "l2u"}]
+        assert single["pairs_checked"] == paired["pairs_checked"] == 1225 + 14 * 13 // 2
 
     def test_bad_pair_spelling(self, capsys):
         assert main(["verify", "--k", "3", "--pair", "l2n+max"]) == 2
