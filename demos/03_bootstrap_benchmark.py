@@ -38,8 +38,8 @@ for k in (2, 3, 6):
     pairs.append(make_shift_pair(spec))
 
 config = BenchmarkConfig(n_boot=300, master_seed=1)  # six ATC variants + naive DoC
-records = run_benchmark_suite(pairs, config)
-rows = aggregate(records, ci_level=config.ci_level)
+errors = run_benchmark_suite(pairs, config)
+rows = aggregate(errors, ci_level=config.ci_level)
 
 print(format_aggregate_table(rows))
 print()
@@ -50,7 +50,7 @@ for method, wins in rank_methods(rows, exclude_binary=True).items():
 print()
 
 print("pairwise mean error differences at k=6 (* = 95% interval excludes 0)")
-for diff in pairwise_difference_report(records, ci_level=config.ci_level):
+for diff in pairwise_difference_report(errors, ci_level=config.ci_level):
     if diff.dimension != 6:
         continue
     flag = " *" if diff.significant else ""
@@ -59,7 +59,7 @@ for diff in pairwise_difference_report(records, ci_level=config.ci_level):
 print()
 
 out_dir = Path(tempfile.mkdtemp(prefix="atckit-benchmark-"))
-write_runs_csv(records, out_dir / "runs.csv")
+write_runs_csv(errors, out_dir / "runs.csv")
 write_aggregate_csv(rows, out_dir / "aggregate.csv")
 print(f"per-run records and aggregates written to {out_dir}")
 print("(identical seeds and inputs reproduce these files byte for byte)")

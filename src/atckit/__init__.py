@@ -32,7 +32,6 @@ from .harness import (
     AggregateRow,
     BenchmarkConfig,
     PairwiseDifference,
-    RunRecord,
     aggregate,
     bootstrap_resample,
     pairwise_difference_report,
@@ -101,7 +100,6 @@ __all__ = [
     "PairwiseDifference",
     "ParseError",
     "PredictionSet",
-    "RunRecord",
     "SCORE_IDS",
     "ScoreFunction",
     "Shift",

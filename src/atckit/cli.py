@@ -166,12 +166,12 @@ def _cmd_benchmark(args) -> int:
         ci_level=args.ci,
         master_seed=args.seed,
     )
-    records = run_benchmark_suite(pairs, config)
-    rows = aggregate(records, ci_level=config.ci_level)
+    errors = run_benchmark_suite(pairs, config)
+    rows = aggregate(errors, ci_level=config.ci_level)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_runs_csv(records, out_dir / "runs.csv")
+    write_runs_csv(errors, out_dir / "runs.csv")
     write_aggregate_csv(rows, out_dir / "aggregate.csv")
 
     print(format_aggregate_table(rows))
@@ -181,7 +181,7 @@ def _cmd_benchmark(args) -> int:
         print(f"  {method:<8} {wins}")
     if args.pairwise:
         print()
-        for d in pairwise_difference_report(records, ci_level=config.ci_level):
+        for d in pairwise_difference_report(errors, ci_level=config.ci_level):
             flag = " *" if d.significant else ""
             print(
                 f"  k={d.dimension} {d.method_a} vs {d.method_b}: "

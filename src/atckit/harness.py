@@ -4,9 +4,13 @@ For each method and each run, the validation set is resampled with
 replacement (per-run seed, shared across methods so that methods are
 compared on identical resamples), the target metric is estimated with
 the resample as source, and the absolute error against the target's
-true accuracy is recorded. Aggregation reports the mean absolute error
-with a percentile confidence interval, plus tie-aware win counts and a
-pairwise mean-difference report over the run-level error distributions.
+true accuracy is recorded. The result is one error table,
+``{(dimension, method): float64 array of abs errors, one per run}``,
+whose insertion order (dimensions ascending, then methods in
+:data:`CANONICAL_METHODS` order) is the output order. Aggregation
+reports the mean absolute error with a percentile confidence interval,
+plus tie-aware win counts and a pairwise mean-difference report over the
+run-level error distributions.
 
 Per-run seeds are derived from (master seed, dimension, run index) by a
 stable hash, never drawn from a shared stream, so runs may execute in
@@ -55,18 +59,6 @@ class BenchmarkConfig:
             raise InvalidArgumentError(f"n_boot must be at least 1, got {self.n_boot}")
         if not 0.0 < self.ci_level < 1.0:
             raise InvalidArgumentError(f"ci_level must lie strictly between 0 and 1, got {self.ci_level}")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    dimension: int
-    method: str
-    run_index: int
-    abs_error: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.abs_error <= 1.0:
-            raise ValueError(f"abs_error {self.abs_error!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,10 @@ def bootstrap_estimates(
     and every method in the run gets that seed (``doc-reg`` draws its
     calibration sets from it), so methods are compared on identical
     resamples and order-equivalent scores give equal per-run estimates.
+    ``n_boot`` 0 gives empty lists.
     """
+    if n_boot < 0:
+        raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")
     estimates = {method: [] for method in methods}
     for run_index in range(n_boot):
         seed = derive_seed(master_seed, source.k, run_index)
@@ -157,10 +152,8 @@ def bootstrap_estimates(
     return estimates
 
 
-def run_benchmark(
-    source_val: PredictionSet, test: PredictionSet, config: BenchmarkConfig
-) -> list[RunRecord]:
-    """All (method, run) records for one validation/test pair.
+def run_benchmark(source_val: PredictionSet, test: PredictionSet, config: BenchmarkConfig) -> dict:
+    """The error table of one validation/test pair: ``{(test.k, method): errors}``.
 
     Both sets must be labeled: the validation resample provides the
     source metric, the test labels provide the ground truth the
@@ -168,34 +161,22 @@ def run_benchmark(
     """
     true_acc = true_accuracy(test).accuracy
     runs = bootstrap_estimates(source_val, test, config.methods, config.n_boot, config.master_seed)
-    return [
-        RunRecord(test.k, method, run_index, abs(true_acc - value.accuracy))
+    return {
+        (test.k, method): np.array([abs(true_acc - value.accuracy) for value in values])
         for method, values in runs.items()
-        for run_index, value in enumerate(values)
-    ]
+    }
 
 
-def run_benchmark_suite(pairs, config: BenchmarkConfig) -> list[RunRecord]:
-    """Concatenate benchmarks over per-dimension (validation, test) pairs."""
-    records = []
-    seen_dims = set()
+def run_benchmark_suite(pairs, config: BenchmarkConfig) -> dict:
+    """One error table over per-dimension (validation, test) pairs, dimensions ascending."""
+    pairs = sorted(pairs, key=lambda pair: pair[1].k)
+    for (_, a), (_, b) in zip(pairs, pairs[1:]):
+        if a.k == b.k:
+            raise InvalidArgumentError(f"two pairs share dimension k={a.k}")
+    table = {}
     for source_val, test in pairs:
-        if test.k in seen_dims:
-            raise InvalidArgumentError(f"two pairs share dimension k={test.k}")
-        seen_dims.add(test.k)
-        records.extend(run_benchmark(source_val, test, config))
-    records.sort(key=lambda r: r.dimension)  # stable: each dimension is already canonical
-    return records
-
-
-def _grouped_errors(records) -> dict:
-    groups: dict = {}
-    for r in records:
-        groups.setdefault((r.dimension, r.method), []).append(r)
-    for key, rs in groups.items():
-        rs.sort(key=lambda r: r.run_index)
-        groups[key] = np.array([r.abs_error for r in rs])
-    return groups
+        table.update(run_benchmark(source_val, test, config))
+    return table
 
 
 def summarize(values, ci_level: float = 0.95) -> tuple[float, float, float]:
@@ -209,16 +190,13 @@ def summarize(values, ci_level: float = 0.95) -> tuple[float, float, float]:
     return float(np.mean(values)), float(lo), float(hi)
 
 
-def aggregate(records, ci_level: float = 0.95) -> list[AggregateRow]:
-    """:func:`summarize` of abs_error per (dimension, method)."""
-    if not records:
-        raise EmptyInputError("no records to aggregate")
-    rows = []
-    for (dimension, method), errors in sorted(
-        _grouped_errors(records).items(), key=lambda kv: (kv[0][0], CANONICAL_METHODS.index(kv[0][1]))
-    ):
-        rows.append(AggregateRow(dimension, method, *summarize(errors, ci_level)))
-    return rows
+def aggregate(table, ci_level: float = 0.95) -> list[AggregateRow]:
+    """:func:`summarize` of each error table entry, in table order."""
+    if not table:
+        raise EmptyInputError("no errors to aggregate")
+    return [
+        AggregateRow(dim, method, *summarize(errors, ci_level)) for (dim, method), errors in table.items()
+    ]
 
 
 def rank_methods(rows, exclude_binary: bool = False, decimals: int = 10) -> dict:
@@ -248,24 +226,25 @@ def rank_methods(rows, exclude_binary: bool = False, decimals: int = 10) -> dict
     return wins
 
 
-def pairwise_difference_report(records, ci_level: float = 0.95) -> list[PairwiseDifference]:
+def pairwise_difference_report(table, ci_level: float = 0.95) -> list[PairwiseDifference]:
     """Mean per-run error difference for each method pair, with interval.
 
     Differences are taken run-by-run (the runs are aligned because every
     method shares the run's resample), and the interval is the
     percentile interval of those per-run differences. Pairs whose
-    interval excludes zero are flagged.
+    interval excludes zero are flagged. Dimensions and methods follow
+    table order.
     """
-    groups = _grouped_errors(records)
-    dims = sorted({dim for dim, _ in groups})
+    methods_by_dim: dict = {}
+    for dim, method in table:
+        methods_by_dim.setdefault(dim, []).append(method)
     report = []
-    for dim in dims:
-        methods = [m for m in CANONICAL_METHODS if (dim, m) in groups]
+    for dim, methods in methods_by_dim.items():
         if len(methods) < 2:
             raise InvalidArgumentError(f"dimension {dim} has fewer than two methods to compare")
         for i, method_a in enumerate(methods):
             for method_b in methods[i + 1 :]:
-                diffs = groups[(dim, method_a)] - groups[(dim, method_b)]
+                diffs = table[(dim, method_a)] - table[(dim, method_b)]
                 mean, lo, hi = summarize(diffs, ci_level)
                 report.append(
                     PairwiseDifference(
@@ -281,12 +260,14 @@ def pairwise_difference_report(records, ci_level: float = 0.95) -> list[Pairwise
     return report
 
 
-def write_runs_csv(records, path) -> None:
+def write_runs_csv(table, path) -> None:
+    """One ``dimension,method,run,abs_error`` row per run, in table order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["dimension", "method", "run", "abs_error"])
-        for r in records:
-            writer.writerow([r.dimension, r.method, r.run_index, format(r.abs_error, ".12g")])
+        for (dim, method), errors in table.items():
+            for run, error in enumerate(errors):
+                writer.writerow([dim, method, run, format(float(error), ".12g")])
 
 
 def write_aggregate_csv(rows, path) -> None:

@@ -129,15 +129,16 @@ def verify_on_sample(
 
     With ``search_budget`` > 0, a pair that looks consistent on the
     sample is additionally attacked with :func:`search_counterexample`
-    (seeded with ``seed``). The all-pairs check is quadratic in the
-    sample size, so ``n_points`` is capped at ``max_points`` (raise the
-    cap explicitly if you really want a larger sample).
+    (seeded with ``seed``); 0 skips the search, and a negative budget is
+    rejected. The all-pairs check is quadratic in the sample size, so
+    ``n_points`` is capped at ``max_points`` (raise the cap explicitly if
+    you really want a larger sample).
     """
-    _check_sample(k, n_points, max_points)
+    _check_sample(k, n_points, max_points, search_budget)
     return _pair_verdict(sample_simplex(k, n_points, seed), fn_a, fn_b, k, eps, search_budget, seed)
 
 
-def _check_sample(k: int, n_points: int, max_points: int) -> None:
+def _check_sample(k: int, n_points: int, max_points: int, search_budget: int) -> None:
     if k < 2:
         raise InvalidArgumentError(f"k must be at least 2, got {k}")
     if n_points < 2:
@@ -147,6 +148,8 @@ def _check_sample(k: int, n_points: int, max_points: int) -> None:
             f"n_points={n_points} exceeds max_points={max_points} "
             "(the pairwise check is quadratic)"
         )
+    if search_budget < 0:
+        raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
 
 
 def _compositions(total: int, parts: int):
@@ -272,7 +275,7 @@ def verify_equivalence_relation(
     resulting classes (connected components of the relation).
     ``n_points`` is capped like in :func:`verify_on_sample`.
     """
-    _check_sample(k, n_points, max_points)
+    _check_sample(k, n_points, max_points, search_budget)
     fns = tuple(fns)
     n_fns = len(fns)
     points = sample_simplex(k, n_points, seed)

@@ -138,13 +138,15 @@ class TestBenchmark:
         assert len(runs) == 7 * 20
 
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["benchmark", "--synthetic", "--k", "3", "4", "--n", "200",
+        # a rerun, and a run listing the dimensions in another order, write the same bytes
+        args = ["benchmark", "--synthetic", "--n", "200",
                 "--methods", "max", "l2n", "doc", "--boot", "30", "--seed", "9"]
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out-dir", str(out1)]) == 0
-        assert main(args + ["--out-dir", str(out2)]) == 0
-        assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
-        assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+        runs = {"a": ["--k", "2", "3", "6"], "b": ["--k", "2", "3", "6"], "c": ["--k", "6", "2", "3"]}
+        for name, dims in runs.items():
+            assert main(args + dims + ["--out-dir", str(tmp_path / name)]) == 0
+        for csv_name in ("runs.csv", "aggregate.csv"):
+            first, *others = ((tmp_path / name / csv_name).read_bytes() for name in runs)
+            assert all(other == first for other in others), csv_name
 
     def test_dump_pairs_and_ranking_output(self, tmp_path, capsys):
         src, tgt = _write_pair(tmp_path, k=3, n=100)
@@ -277,6 +279,8 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "3", "--points", "1"],
     ["verify", "--k", "3", "--points", "3000"],
     ["verify", "--k", "1", "--pair", "l2n,max"],
+    ["verify", "--k", "3", "--points", "50", "--budget", "-3"],
+    ["verify", "--k", "3", "--points", "50", "--budget", "-3", "--pair", "l2n,l2u"],
     ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
 ]
 
@@ -286,6 +290,12 @@ class TestBadFlagValues:
     def test_input_error_exit_without_traceback(self, argv, tmp_path, capsys):
         outputs = {"benchmark": ["--out-dir", str(tmp_path)], "generate": ["--out", str(tmp_path / "x")]}
         assert main(argv + outputs.get(argv[0], [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_boot_count(self, tmp_path, capsys):
+        src, tgt = _write_pair(tmp_path, k=3, n=50)
+        assert main(["estimate", "--source", str(src), "--target", str(tgt), "--boot", "-5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 

@@ -1,4 +1,4 @@
-"""Bootstrap harness: records, aggregation, ranking, pairwise report."""
+"""Bootstrap harness: error tables, aggregation, ranking, pairwise report."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from atckit import (
     BenchmarkConfig,
     EmptyInputError,
     GeneratorSpec,
+    InvalidArgumentError,
     PredictionSet,
-    RunRecord,
     Shift,
     aggregate,
     bootstrap_resample,
@@ -19,7 +19,7 @@ from atckit import (
     run_benchmark,
     run_benchmark_suite,
 )
-from atckit.harness import derive_seed
+from atckit.harness import bootstrap_estimates, derive_seed
 
 from oracles import naive_mean, quantile_sorted_index
 
@@ -48,8 +48,6 @@ class TestConfig:
             BenchmarkConfig(ci_level=1.0)
 
     def test_record_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            RunRecord(3, "max", 0, 1.5)
         with pytest.raises(ValueError):
             AggregateRow(3, "max", 0.5, 0.9, 0.1)
 
@@ -94,52 +92,55 @@ class TestRunBenchmark:
         # estimate must match the source metric up to grid quantization
         data = PredictionSet([[0.9, 0.1]], labels=[0])
         config = BenchmarkConfig(methods=("max",), n_boot=1, master_seed=3)
-        records = run_benchmark(data, data, config)
-        assert len(records) == 1
-        assert records[0].abs_error <= 1.0 / (2 * len(data))
+        (errors,) = run_benchmark(data, data, config).values()
+        assert len(errors) == 1
+        assert errors[0] <= 1.0 / (2 * len(data))
 
-    def test_record_grid_shape_and_order(self):
+    def test_table_grid_shape_and_order(self):
         source, target = _small_pair()
         config = BenchmarkConfig(methods=("doc", "max", "l2n"), n_boot=5, master_seed=1)
-        records = run_benchmark(source, target, config)
-        assert len(records) == 15
-        keys = [(r.method, r.run_index) for r in records]
-        assert keys == [(m, r) for m in ("max", "l2n", "doc") for r in range(5)]
-        assert all(r.dimension == 3 for r in records)
+        table = run_benchmark(source, target, config)
+        assert list(table) == [(3, "max"), (3, "l2n"), (3, "doc")]
+        assert all(errors.dtype == np.float64 and errors.shape == (5,) for errors in table.values())
 
-    def test_binary_collapse_record_by_record(self):
+    def test_binary_collapse_run_by_run(self):
         source, target = _small_pair(k=2, n=150, seed=4)
         config = BenchmarkConfig(methods=BenchmarkConfig().methods[:6], n_boot=20, master_seed=2)
-        records = run_benchmark(source, target, config)
-        by_run = {}
-        for r in records:
-            by_run.setdefault(r.run_index, set()).add(r.abs_error)
-        assert all(len(errors) == 1 for errors in by_run.values())
+        errors = np.stack(list(run_benchmark(source, target, config).values()))
+        assert errors.shape == (6, 20)
+        assert np.all(errors == errors[0])
 
-    def test_quadratic_methods_tie_record_by_record(self):
+    def test_quadratic_methods_tie_run_by_run(self):
         source, target = _small_pair(k=5, n=150, seed=6)
         config = BenchmarkConfig(methods=("l2n", "l2u"), n_boot=25, master_seed=9)
-        records = run_benchmark(source, target, config)
-        l2n = [r.abs_error for r in records if r.method == "l2n"]
-        l2u = [r.abs_error for r in records if r.method == "l2u"]
-        assert l2n == l2u
+        table = run_benchmark(source, target, config)
+        assert np.array_equal(table[(5, "l2n")], table[(5, "l2u")])
 
     def test_bit_identical_repetition(self):
         source, target = _small_pair(seed=8)
         config = BenchmarkConfig(methods=("max", "doc", "doc-reg"), n_boot=10, master_seed=5)
-        assert run_benchmark(source, target, config) == run_benchmark(source, target, config)
+        first, second = (run_benchmark(source, target, config) for _ in range(2))
+        assert list(first) == list(second)
+        assert all(first[key].tobytes() == second[key].tobytes() for key in first)
 
     def test_errors_recomputable_from_stored_seed(self):
         from atckit import ScoreFunction, atc_estimate, true_accuracy
 
         source, target = _small_pair(seed=10)
         config = BenchmarkConfig(methods=("negent",), n_boot=3, master_seed=11)
-        records = run_benchmark(source, target, config)
+        (errors,) = run_benchmark(source, target, config).values()
         truth = true_accuracy(target).accuracy
-        for record in records:
-            resample = bootstrap_resample(source, derive_seed(11, 3, record.run_index))
+        assert len(errors) == 3
+        for run, error in enumerate(errors):
+            resample = bootstrap_resample(source, derive_seed(11, 3, run))
             est = atc_estimate(resample, target, ScoreFunction.NEG_ENTROPY).accuracy
-            assert record.abs_error == abs(truth - est)
+            assert error == abs(truth - est)
+
+    def test_run_count_zero_gives_no_runs_and_negative_is_rejected(self):
+        source, target = _small_pair(seed=13)
+        assert bootstrap_estimates(source, target, ("max", "doc"), 0, 0) == {"max": [], "doc": []}
+        with pytest.raises(InvalidArgumentError):
+            bootstrap_estimates(source, target, ("max",), -1, 0)
 
     def test_suite_rejects_duplicate_dimensions(self):
         pair = _small_pair(seed=12)
@@ -150,27 +151,31 @@ class TestRunBenchmark:
 
 class TestAggregate:
     def test_degenerate_distribution(self):
-        records = [RunRecord(3, "max", i, 0.25) for i in range(10)]
-        (row,) = aggregate(records)
+        (row,) = aggregate({(3, "max"): np.full(10, 0.25)})
         assert (row.mean_abs_error, row.ci_low, row.ci_high) == (0.25, 0.25, 0.25)
 
     def test_fifty_fifty_mean(self):
-        records = [RunRecord(3, "max", i, float(i % 2)) for i in range(100)]
-        (row,) = aggregate(records)
+        (row,) = aggregate({(3, "max"): np.arange(100) % 2.0})
         assert row.mean_abs_error == 0.5
 
     def test_matches_independent_oracles(self):
         rng = np.random.default_rng(17)
         values = rng.random(1000)
-        records = [RunRecord(4, "js", i, float(v)) for i, v in enumerate(values)]
-        (row,) = aggregate(records, ci_level=0.95)
+        (row,) = aggregate({(4, "js"): values}, ci_level=0.95)
         assert row.mean_abs_error == pytest.approx(naive_mean(values), abs=1e-12)
         assert row.ci_low == pytest.approx(quantile_sorted_index(values, 0.025), abs=1e-12)
         assert row.ci_high == pytest.approx(quantile_sorted_index(values, 0.975), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            aggregate([])
+            aggregate({})
+
+    def test_rows_follow_table_order(self):
+        table = {(3, "max"): np.zeros(2), (3, "doc"): np.ones(2), (5, "max"): np.full(2, 0.5)}
+        rows = aggregate(table)
+        assert [(r.dimension, r.method, r.mean_abs_error) for r in rows] == [
+            (3, "max", 0.0), (3, "doc", 1.0), (5, "max", 0.5)
+        ]
 
 
 class TestRanking:
@@ -201,30 +206,19 @@ class TestRanking:
 
 class TestPairwiseReport:
     def test_identical_methods_have_zero_interval(self):
-        records = []
-        rng = np.random.default_rng(3)
-        errors = rng.random(50)
-        for i, e in enumerate(errors):
-            records.append(RunRecord(5, "l2n", i, float(e)))
-            records.append(RunRecord(5, "l2u", i, float(e)))
-        (diff,) = pairwise_difference_report(records)
+        errors = np.random.default_rng(3).random(50)
+        (diff,) = pairwise_difference_report({(5, "l2n"): errors, (5, "l2u"): errors.copy()})
         assert (diff.mean_diff, diff.ci_low, diff.ci_high) == (0.0, 0.0, 0.0)
         assert not diff.significant
 
     def test_known_offset_recovered(self):
-        records = []
-        rng = np.random.default_rng(4)
-        base = rng.random(200) * 0.5
+        base = np.random.default_rng(4).random(200) * 0.5
         offset = 0.125
-        for i, e in enumerate(base):
-            records.append(RunRecord(3, "max", i, float(e)))
-            records.append(RunRecord(3, "doc", i, float(e + offset)))
-        (diff,) = pairwise_difference_report(records)
+        (diff,) = pairwise_difference_report({(3, "max"): base, (3, "doc"): base + offset})
         assert diff.method_a == "max" and diff.method_b == "doc"
         assert diff.mean_diff == pytest.approx(-offset, abs=1e-12)
         assert diff.significant
 
     def test_needs_two_methods(self):
-        records = [RunRecord(3, "max", i, 0.1) for i in range(5)]
         with pytest.raises(ValueError):
-            pairwise_difference_report(records)
+            pairwise_difference_report({(3, "max"): np.full(5, 0.1)})
