@@ -53,7 +53,6 @@ from .ordering import (
     squared_distance_to,
     verify_equivalence_relation,
     verify_on_points,
-    verify_on_sample,
 )
 from .scores import (
     SCORE_IDS,
@@ -134,7 +133,6 @@ __all__ = [
     "validate_vector",
     "verify_equivalence_relation",
     "verify_on_points",
-    "verify_on_sample",
     "write_aggregate_csv",
     "write_dump",
     "write_runs_csv",

@@ -39,7 +39,7 @@ from .harness import (
     write_runs_csv,
 )
 from .io import load_dump, write_dump
-from .ordering import verify_equivalence_relation, verify_on_sample
+from .ordering import verify_equivalence_relation
 from .scores import SCORE_IDS, ScoreFunction
 from .simplex import Convention
 from .synth import GeneratorSpec, Shift, generate, make_shift_pair
@@ -241,32 +241,24 @@ def _cmd_verify(args) -> int:
     if args.pair:
         try:
             id_a, id_b = (part.strip() for part in args.pair.split(","))
-            fn_a, fn_b = ScoreFunction(id_a), ScoreFunction(id_b)
+            fns = (ScoreFunction(id_a), ScoreFunction(id_b))
         except ValueError:
             raise AtckitError(f"--pair must be two of {SCORE_IDS}, got {args.pair!r}") from None
-        verdict = verify_on_sample(
-            fn_a, fn_b, args.k, args.points, args.seed, args.eps, search_budget=args.budget
-        )
-        print(json.dumps(_verdict_record(fn_a, fn_b, args.k, verdict)))
-        matches = verdict.consistent == _predicted_consistent(fn_a, fn_b, args.k)
-        print(f"expected-consistency match: {matches}")
-        return _EXIT_OK if matches else _EXIT_VERIFY_MISMATCH
-
-    fns = tuple(ScoreFunction)
+    else:
+        fns = tuple(ScoreFunction)
     report = verify_equivalence_relation(
         fns, args.k, args.points, args.seed, args.eps, search_budget=args.budget
     )
     for (i, j), verdict in sorted(report.verdicts.items()):
-        if i != j:
-            print(json.dumps(_verdict_record(fns[i], fns[j], args.k, verdict)))
+        print(json.dumps(_verdict_record(fns[i], fns[j], args.k, verdict)))
+    if args.pair:
+        matches = report.verdicts[(0, 1)].consistent == _predicted_consistent(*fns, args.k)
+        print(f"expected-consistency match: {matches}")
+        return _EXIT_OK if matches else _EXIT_VERIFY_MISMATCH
+
     classes = {frozenset(fn.value for fn in cls) for cls in report.classes}
     print("classes: " + json.dumps(sorted(sorted(cls) for cls in classes)))
-    ok = (
-        classes == _predicted_classes(args.k)
-        and report.reflexive
-        and report.symmetric
-        and not report.transitivity_violations
-    )
+    ok = classes == _predicted_classes(args.k) and not report.transitivity_violations
     print(f"expected-classes match: {ok}")
     return _EXIT_OK if ok else _EXIT_VERIFY_MISMATCH
 

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
-from math import isqrt
+from itertools import combinations, permutations
+from math import comb, isqrt
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .scores import Scorer, score_batch
+
+#: Most points one dense check takes, for the sample and for a search pool.
+MAX_POINTS = 2000
 
 
 class VerdictStatus(Enum):
@@ -115,43 +118,6 @@ def sample_simplex(k: int, n_points: int, seed) -> np.ndarray:
     return rng.dirichlet(np.ones(k), size=n_points)
 
 
-def verify_on_sample(
-    fn_a: Scorer,
-    fn_b: Scorer,
-    k: int,
-    n_points: int,
-    seed,
-    eps: float = 1e-12,
-    search_budget: int = 0,
-    max_points: int = 2000,
-) -> OrderingVerdict:
-    """Pairwise check over ``n_points`` uniform samples from the simplex.
-
-    With ``search_budget`` > 0, a pair that looks consistent on the
-    sample is additionally attacked with :func:`search_counterexample`
-    (seeded with ``seed``); 0 skips the search, and a negative budget is
-    rejected. The all-pairs check is quadratic in the sample size, so
-    ``n_points`` is capped at ``max_points`` (raise the cap explicitly if
-    you really want a larger sample).
-    """
-    _check_sample(k, n_points, max_points, search_budget)
-    return _pair_verdict(sample_simplex(k, n_points, seed), fn_a, fn_b, k, eps, search_budget, seed)
-
-
-def _check_sample(k: int, n_points: int, max_points: int, search_budget: int) -> None:
-    if k < 2:
-        raise InvalidArgumentError(f"k must be at least 2, got {k}")
-    if n_points < 2:
-        raise InvalidArgumentError(f"need at least two points to compare, got {n_points}")
-    if n_points > max_points:
-        raise InvalidArgumentError(
-            f"n_points={n_points} exceeds max_points={max_points} "
-            "(the pairwise check is quadratic)"
-        )
-    if search_budget < 0:
-        raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
-
-
 def _compositions(total: int, parts: int):
     # stars and bars, lexicographic in the bar positions
     for cuts in combinations(range(total + parts - 1), parts - 1):
@@ -163,21 +129,17 @@ def _compositions(total: int, parts: int):
         yield comp
 
 
-def simplex_grid(k: int, step: float = 0.1, limit: int | None = None) -> np.ndarray:
+def simplex_grid(k: int, step: float = 0.1) -> np.ndarray:
     """Deterministic coarse grid of simplex points with spacing ``step``.
 
     Includes every vector whose components are multiples of ``step``
     (e.g. step 0.1 covers hand-built counterexamples like (0.5, 0.2, 0.3)
-    and (0.5, 0.5, 0)). ``limit`` truncates the enumeration.
+    and (0.5, 0.5, 0)).
     """
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise ValueError("step must divide 1 evenly")
-    gen = _compositions(total, k)
-    if limit is not None:
-        gen = islice(gen, limit)
-    pts = np.array(list(gen), dtype=np.float64) * step
-    return pts
+    return np.array(list(_compositions(total, k)), dtype=np.float64) * step
 
 
 def search_counterexample(
@@ -190,52 +152,45 @@ def search_counterexample(
 ) -> OrderingWitness | None:
     """Look for an ordering violation within a pair-comparison budget.
 
-    The candidate pool starts from the coarse 0.1 grid (deterministic,
-    so known hand-built witnesses are always tried) and is topped up
-    with random simplex points until checking all pool pairs would
-    exceed ``budget``. Returns a verified witness or None.
+    The candidate pool has the largest size m whose m(m-1)/2 pairs fit
+    ``budget``. It starts from the whole coarse 0.1 grid when that fits
+    (deterministic, so known hand-built witnesses are always tried) and
+    is filled up with random simplex points; a grid that does not fit is
+    left out, so the pool covers the whole simplex rather than one face
+    of it. Returns a verified witness or None.
     """
     if budget < 1:
         raise InvalidArgumentError("budget must be at least 1")
     m = _pool_size(budget)
-    pool = simplex_grid(k, 0.1, limit=m)
-    if pool.shape[0] < m:
-        extra = sample_simplex(k, m - pool.shape[0], seed)
-        pool = np.vstack([pool, extra])
-    verdict = verify_on_points(pool, fn_a, fn_b, eps)
-    return verdict.witness
+    if comb(9 + k, k - 1) > m:  # the size of the 0.1 grid
+        pool = sample_simplex(k, m, seed)
+    else:
+        grid = simplex_grid(k, 0.1)
+        pool = np.vstack([grid, sample_simplex(k, m - grid.shape[0], seed)])
+    return verify_on_points(pool, fn_a, fn_b, eps).witness
 
 
 def _pool_size(budget: int) -> int:
-    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2)."""
-    return max(2, (1 + isqrt(1 + 8 * budget)) // 2)
+    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2).
 
-
-def _pair_verdict(points, fn_a, fn_b, k, eps, search_budget, search_seed) -> OrderingVerdict:
-    """Dense check on ``points``, then a search when two distinct functions agree.
-
-    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool
-    pairs the search compared, whether or not it found a witness.
+    A pool over ``MAX_POINTS`` is rejected, like an oversized sample.
     """
-    verdict = verify_on_points(points, fn_a, fn_b, eps)
-    if not verdict.consistent or search_budget <= 0 or fn_a is fn_b:
-        return verdict
-    witness = search_counterexample(fn_a, fn_b, k, search_budget, search_seed, eps)
-    m = _pool_size(search_budget)
-    status = VerdictStatus.CONSISTENT_ON_SAMPLE if witness is None else VerdictStatus.COUNTEREXAMPLE
-    return OrderingVerdict(status, verdict.pairs_checked + m * (m - 1) // 2, eps, witness)
+    m = max(2, (1 + isqrt(1 + 8 * budget)) // 2)
+    if m > MAX_POINTS:
+        raise InvalidArgumentError(
+            f"budget={budget} needs a search pool of {m} points, over "
+            f"MAX_POINTS={MAX_POINTS} (the pairwise check is quadratic)"
+        )
+    return m
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Consistency structure of a set of score functions on one sample."""
 
-    functions: tuple
     verdicts: dict  # (i, j) with i < j -> OrderingVerdict
-    classes: tuple  # tuple of tuples of functions, partitioning `functions`
+    classes: tuple  # tuple of tuples of functions, partitioning the input
     transitivity_violations: tuple  # (i, j, l) index triples
-    reflexive: bool
-    symmetric: bool
 
 
 def _connected_components(n: int, adjacent) -> tuple:
@@ -264,53 +219,60 @@ def verify_equivalence_relation(
     seed,
     eps: float = 1e-12,
     search_budget: int = 0,
-    max_points: int = 2000,
 ) -> EquivalenceReport:
-    """Check that consistent-on-sample behaves like an equivalence relation.
+    """Check every pair of ``fns`` on one sample and report the structure.
 
-    All functions are evaluated on one shared sample so the pairwise
-    verdicts are comparable. ``search_budget`` works as in
-    :func:`verify_on_sample`, with a per-pair search seed. Reports
-    reflexivity, symmetry, any transitivity-violating triples, and the
-    resulting classes (connected components of the relation).
-    ``n_points`` is capped like in :func:`verify_on_sample`.
+    Each pair of positions i < j is checked on the same ``n_points``
+    uniform samples from the simplex, so the verdicts are comparable.
+    With ``search_budget`` > 0, a pair that looks consistent there is
+    also attacked with :func:`search_counterexample`; every pair's search
+    draws the same pool, from a stream independent of the sample. 0 skips
+    the search, and a negative budget is rejected. The dense check is
+    quadratic, so the sample and the search pool are capped at
+    ``MAX_POINTS``. A verdict's ``pairs_checked`` counts the sample pairs
+    plus the m(m-1)/2 pool pairs the search compared, whether or not it
+    found a witness.
+
+    The relation is reflexive and symmetric by construction, so the
+    report lists the transitivity-violating triples and the resulting
+    classes (connected components of the relation).
     """
-    _check_sample(k, n_points, max_points, search_budget)
+    if k < 2:
+        raise InvalidArgumentError(f"k must be at least 2, got {k}")
+    if n_points < 2:
+        raise InvalidArgumentError(f"need at least two points to compare, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise InvalidArgumentError(
+            f"n_points={n_points} exceeds max_points={MAX_POINTS} "
+            "(the pairwise check is quadratic)"
+        )
+    if search_budget < 0:
+        raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
+    pool_pairs = comb(_pool_size(search_budget), 2)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)
     points = sample_simplex(k, n_points, seed)
+    search_seed = [*np.ravel(seed), 1]
 
     verdicts: dict = {}
     consistent = np.ones((n_fns, n_fns), dtype=bool)
-    for i in range(n_fns):
-        for j in range(i, n_fns):
-            search_seed = [*np.ravel(seed), i, j]
-            v = _pair_verdict(points, fns[i], fns[j], k, eps, search_budget, search_seed)
-            verdicts[(i, j)] = v
-            consistent[i, j] = consistent[j, i] = v.consistent
+    for i, j in combinations(range(n_fns), 2):
+        verdict = verify_on_points(points, fns[i], fns[j], eps)
+        if verdict.consistent and search_budget > 0:
+            witness = search_counterexample(fns[i], fns[j], k, search_budget, search_seed, eps)
+            status = verdict.status if witness is None else VerdictStatus.COUNTEREXAMPLE
+            verdict = OrderingVerdict(status, verdict.pairs_checked + pool_pairs, eps, witness)
+        verdicts[(i, j)] = verdict
+        consistent[i, j] = consistent[j, i] = verdict.consistent
 
-    reflexive = bool(np.all(np.diag(consistent)))
-    symmetric = bool(np.all(consistent == consistent.T))
     violations = tuple(
         (a, b, c)
-        for a in range(n_fns)
-        for b in range(n_fns)
-        for c in range(n_fns)
-        if len({a, b, c}) == 3
-        and consistent[a, b]
-        and consistent[b, c]
-        and not consistent[a, c]
+        for a, b, c in permutations(range(n_fns), 3)
+        if consistent[a, b] and consistent[b, c] and not consistent[a, c]
     )
     comps = _connected_components(n_fns, lambda u, v: consistent[u, v])
     classes = tuple(tuple(fns[i] for i in comp) for comp in comps)
-    return EquivalenceReport(
-        functions=fns,
-        verdicts=verdicts,
-        classes=classes,
-        transitivity_violations=violations,
-        reflexive=reflexive,
-        symmetric=symmetric,
-    )
+    return EquivalenceReport(verdicts=verdicts, classes=classes, transitivity_violations=violations)
 
 
 def squared_distance_to(reference) -> "Scorer":

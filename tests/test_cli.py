@@ -281,6 +281,7 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "1", "--pair", "l2n,max"],
     ["verify", "--k", "3", "--points", "50", "--budget", "-3"],
     ["verify", "--k", "3", "--points", "50", "--budget", "-3", "--pair", "l2n,l2u"],
+    ["verify", "--k", "3", "--points", "10", "--budget", "2001000"],
     ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
 ]
 

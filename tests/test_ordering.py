@@ -20,12 +20,28 @@ from atckit import (
     squared_distance_to,
     verify_equivalence_relation,
     verify_on_points,
-    verify_on_sample,
 )
+from atckit import ordering
 from atckit.ordering import VerdictStatus, sample_simplex
 
 ALL_FNS = tuple(ScoreFunction)
 ALL_PAIRS = list(itertools.combinations(ALL_FNS, 2))
+
+
+def _verdict_of(fn_a, fn_b, **kwargs):
+    return verify_equivalence_relation((fn_a, fn_b), **kwargs).verdicts[(0, 1)]
+
+
+def _dense_check_inputs(monkeypatch):
+    """Record the points of every dense check the verifier runs, in order."""
+    seen = []
+
+    def recording(points, *args, **kwargs):
+        seen.append(np.array(points))
+        return verify_on_points(points, *args, **kwargs)
+
+    monkeypatch.setattr(ordering, "verify_on_points", recording)
+    return seen
 
 
 class TestCheckPair:
@@ -53,14 +69,15 @@ class TestCheckPair:
 
 class TestVerifyOnSample:
     def test_binary_consistency_all_pairs(self):
-        for fn_a, fn_b in ALL_PAIRS:
-            verdict = verify_on_sample(fn_a, fn_b, k=2, n_points=1000, seed=0)
-            assert verdict.consistent, (fn_a, fn_b)
+        report = verify_equivalence_relation(ALL_FNS, k=2, n_points=1000, seed=0)
+        assert len(report.verdicts) == len(ALL_PAIRS)
+        for (i, j), verdict in report.verdicts.items():
+            assert verdict.consistent, (ALL_FNS[i], ALL_FNS[j])
             assert verdict.witness is None
             assert verdict.pairs_checked == 1000 * 999 // 2
 
     def test_quadratic_pair_consistent_at_k7(self):
-        verdict = verify_on_sample(
+        verdict = _verdict_of(
             ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, k=7, n_points=1000, seed=1
         )
         assert verdict.consistent
@@ -74,13 +91,16 @@ class TestVerifyOnSample:
             witness.p, witness.q, ScoreFunction.MAX_CONF, ScoreFunction.NEG_ENTROPY
         )
 
-    def test_point_cap_enforced_but_overridable(self):
-        with pytest.raises(ValueError):
-            verify_on_sample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 2, 3000, seed=0)
-        verdict = verify_on_sample(
-            ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 2, 2500, seed=0, max_points=2500
-        )
-        assert verdict.consistent
+    def test_point_cap_enforced(self):
+        with pytest.raises(ValueError, match="n_points=3000 exceeds max_points=2000"):
+            _verdict_of(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k=2, n_points=3000, seed=0)
+
+    def test_each_function_orders_like_itself(self):
+        points = sample_simplex(4, 300, seed=2)
+        for fn in ALL_FNS:
+            verdict = verify_on_points(points, fn, fn)
+            assert verdict.consistent, fn
+            assert verdict.pairs_checked == 300 * 299 // 2
 
     def test_counterexample_witness_reproduces(self):
         points = np.array([[0.5, 0.2, 0.3], [0.5, 0.5, 0.0]])
@@ -120,11 +140,28 @@ class TestSearchCounterexample:
         with pytest.raises(ValueError):
             search_counterexample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 0, seed=0)
 
+    def test_pool_over_point_cap_rejected(self):
+        # budget 2,001,000 asks for a 2001-point pool
+        with pytest.raises(ValueError, match="search pool of 2001 points"):
+            search_counterexample(
+                ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 2_001_000, seed=0
+            )
+
+    def test_pool_reaches_beyond_one_face_at_k6(self, monkeypatch):
+        # the 0.1 grid has 3003 points at k=6, more than the 447-point pool
+        # of budget 100,000; its first 447 points all have p0 = 0
+        seen = _dense_check_inputs(monkeypatch)
+        search_counterexample(
+            ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, k=6, budget=100_000, seed=0
+        )
+        (pool,) = seen
+        assert pool.shape == (447, 6)
+        assert pool[:, 0].max() > 0.5
+
 
 class TestEquivalenceRelation:
     def test_binary_single_class_of_six(self):
         report = verify_equivalence_relation(ALL_FNS, k=2, n_points=600, seed=0)
-        assert report.reflexive and report.symmetric
         assert not report.transitivity_violations
         assert len(report.classes) == 1
         assert set(report.classes[0]) == set(ALL_FNS)
@@ -140,8 +177,28 @@ class TestEquivalenceRelation:
 
     def test_single_function_trivially_reflexive(self):
         report = verify_equivalence_relation((ScoreFunction.MAX_CONF,), k=3, n_points=100, seed=0)
-        assert report.reflexive
+        assert report.verdicts == {}
         assert report.classes == ((ScoreFunction.MAX_CONF,),)
+
+    @pytest.mark.parametrize("k, budget", [(3, 5000), (4, 50_000)])
+    def test_search_pool_shares_no_point_with_sample(self, monkeypatch, k, budget):
+        seen = _dense_check_inputs(monkeypatch)
+        verdict = _verdict_of(
+            ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM,
+            k=k, n_points=200, seed=0, search_budget=budget,
+        )
+        assert verdict.consistent
+        sample, pool = seen
+        assert pool.shape[0] > simplex_grid(k, 0.1).shape[0]  # random points too
+        assert set(map(tuple, pool)).isdisjoint(map(tuple, sample))
+
+    def test_oversized_search_pool_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the budget was checked")
+
+        monkeypatch.setattr(ordering, "sample_simplex", no_sampling)
+        with pytest.raises(ValueError, match="search pool of 2001 points"):
+            verify_equivalence_relation(ALL_FNS, k=3, n_points=10, seed=0, search_budget=2_001_000)
 
 
 class TestQuadraticConstantDifference:
