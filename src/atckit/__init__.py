@@ -8,14 +8,7 @@ benchmark harness.
 """
 
 from .atc import AtcEstimate, ThresholdModel, atc_estimate, estimate_target, learn_threshold
-from .doc import (
-    DocMode,
-    DocModel,
-    bootstrap_calibration,
-    doc_estimate,
-    doc_gap,
-    fit_doc_regression,
-)
+from .doc import bootstrap_calibration, doc_estimate
 from .errors import (
     AtckitError,
     DegenerateDesignError,
@@ -60,7 +53,6 @@ from .scores import (
     ScoreFunction,
     score,
     score_batch,
-    uniform_vector,
 )
 from .simplex import (
     Convention,
@@ -68,7 +60,6 @@ from .simplex import (
     PredictionSet,
     true_accuracy,
     validate_matrix,
-    validate_vector,
 )
 from .synth import GeneratorSpec, Shift, apply_temperature, generate, make_shift_pair
 
@@ -83,8 +74,6 @@ __all__ = [
     "DegenerateDesignError",
     "DimensionError",
     "DimensionMismatchError",
-    "DocMode",
-    "DocModel",
     "EmptyInputError",
     "EquivalenceReport",
     "GeneratorSpec",
@@ -111,9 +100,7 @@ __all__ = [
     "bootstrap_resample",
     "check_pair",
     "doc_estimate",
-    "doc_gap",
     "estimate_target",
-    "fit_doc_regression",
     "generate",
     "learn_threshold",
     "load_dump",
@@ -128,9 +115,7 @@ __all__ = [
     "simplex_grid",
     "squared_distance_to",
     "true_accuracy",
-    "uniform_vector",
     "validate_matrix",
-    "validate_vector",
     "verify_equivalence_relation",
     "verify_on_points",
     "write_aggregate_csv",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError, MissingLabelsError
-from .scores import MonotoneTransform, ScoreFunction, Scorer, score_batch
+from .scores import Scorer, score_batch
 from .simplex import Convention, MetricValue, PredictionSet, true_accuracy
 
 
@@ -40,7 +40,6 @@ class ThresholdModel:
     threshold: float
     source_metric: MetricValue
     achieved_source_proportion: float
-    fn: ScoreFunction | MonotoneTransform | None = None
 
     @property
     def is_sentinel(self) -> bool:
@@ -53,8 +52,6 @@ class AtcEstimate:
 
     model: ThresholdModel
     target_value: MetricValue
-    n_source: int
-    n_target: int
 
     @property
     def accuracy(self) -> float:
@@ -74,11 +71,7 @@ def _as_error_value(gamma: MetricValue | float) -> float:
     return value
 
 
-def learn_threshold(
-    source_scores,
-    gamma_s: MetricValue | float,
-    fn: ScoreFunction | MonotoneTransform | None = None,
-) -> ThresholdModel:
+def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdModel:
     """Pick the threshold whose below-threshold fraction best matches ``gamma_s``.
 
     ``gamma_s`` is interpreted in the error convention (a bare float is
@@ -106,7 +99,6 @@ def learn_threshold(
         threshold=float(candidates[best]),
         source_metric=MetricValue(gamma, Convention.ERROR),
         achieved_source_proportion=float(proportions[best]),
-        fn=fn,
     )
 
 
@@ -135,11 +127,5 @@ def atc_estimate(source: PredictionSet, target: PredictionSet, fn: Scorer) -> At
             f"source has k={source.k} classes but target has k={target.k}"
         )
     gamma_s = true_accuracy(source).converted(Convention.ERROR)
-    model = learn_threshold(score_batch(source, fn), gamma_s, fn=fn)
-    target_value = estimate_target(model, score_batch(target, fn))
-    return AtcEstimate(
-        model=model,
-        target_value=target_value,
-        n_source=len(source),
-        n_target=len(target),
-    )
+    model = learn_threshold(score_batch(source, fn), gamma_s)
+    return AtcEstimate(model=model, target_value=estimate_target(model, score_batch(target, fn)))

@@ -1,16 +1,15 @@
 """Difference-of-confidence (DoC) baseline.
 
 Estimates target accuracy from the gap in mean maximum confidence
-between the source validation set and the target set. Naive mode treats
-the gap itself as the accuracy drop; regression mode predicts the drop
-from a line fitted on caller-supplied calibration sets. Raw arithmetic
+between the source validation set and the target set. Without
+calibration sets the gap itself is taken as the accuracy drop (naive
+DoC); with them the drop is predicted from a least-squares line of drop
+against gap over the calibration sets (regression DoC). Raw arithmetic
 can leave [0, 1], so estimates are clamped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -19,89 +18,20 @@ from .errors import (
     DegenerateDesignError,
     DimensionMismatchError,
     InsufficientCalibrationError,
+    InvalidArgumentError,
     MissingLabelsError,
 )
 from .scores import ScoreFunction, score_batch
 from .simplex import Convention, MetricValue, PredictionSet, true_accuracy
 
 
-class DocMode(Enum):
-    NAIVE = "naive"
-    REGRESSION = "regression"
-
-
-@dataclass(frozen=True)
-class DocModel:
-    """Fitted (or fixed) linear relationship between gap and drop.
-
-    Naive mode pins slope 1 and intercept 0, i.e. estimate = source
-    accuracy minus the confidence gap.
-    """
-
-    mode: DocMode
-    intercept: float
-    slope: float
-    source_mean_conf: float
-    source_accuracy: MetricValue
-
-    def __post_init__(self):
-        if self.mode is DocMode.NAIVE and (self.slope != 1.0 or self.intercept != 0.0):
-            raise ValueError("naive mode fixes slope=1 and intercept=0")
-
-    def predicted_drop(self, gap: float) -> float:
-        return self.intercept + self.slope * gap
+#: Calibration gaps this close differ only by summation rounding (e.g. two
+#: resamples holding the same rows in another order), so they fix no line.
+_GAP_RESOLUTION = 1e-12
 
 
 def _mean_max_conf(data: PredictionSet) -> float:
     return float(np.mean(score_batch(data, ScoreFunction.MAX_CONF)))
-
-
-def doc_gap(source: PredictionSet, target: PredictionSet) -> float:
-    """Mean max-confidence of the source minus that of the target.
-
-    Antisymmetric and zero on identical sets; can be negative when the
-    target is the more confident side.
-    """
-    if source.k != target.k:
-        raise DimensionMismatchError(
-            f"source has k={source.k} classes but target has k={target.k}"
-        )
-    return _mean_max_conf(source) - _mean_max_conf(target)
-
-
-def fit_doc_regression(
-    source: PredictionSet,
-    calibration: Sequence[tuple[PredictionSet, MetricValue | float]],
-) -> DocModel:
-    """Least-squares fit of accuracy drop against confidence gap.
-
-    Each calibration entry is a labeled-or-scored set paired with its
-    known accuracy; its gap and drop are measured relative to ``source``.
-    How calibration sets are constructed (held-out splits, resamples,
-    shifted copies) is up to the caller.
-    """
-    if source.labels is None:
-        raise MissingLabelsError("DoC regression needs a labeled source set")
-    if len(calibration) < 2:
-        raise InsufficientCalibrationError(
-            f"regression needs >= 2 calibration sets, got {len(calibration)}"
-        )
-    acc_s = true_accuracy(source).accuracy
-    gaps = np.array([doc_gap(source, cal) for cal, _ in calibration])
-    accs = np.array(
-        [a.accuracy if isinstance(a, MetricValue) else float(a) for _, a in calibration]
-    )
-    drops = acc_s - accs
-    if np.ptp(gaps) == 0.0:
-        raise DegenerateDesignError("all calibration gaps are identical")
-    slope, intercept = np.polyfit(gaps, drops, deg=1)
-    return DocModel(
-        mode=DocMode.REGRESSION,
-        intercept=float(intercept),
-        slope=float(slope),
-        source_mean_conf=_mean_max_conf(source),
-        source_accuracy=true_accuracy(source),
-    )
 
 
 def bootstrap_calibration(
@@ -109,9 +39,10 @@ def bootstrap_calibration(
 ) -> list[tuple[PredictionSet, MetricValue]]:
     """Calibration sets built as with-replacement resamples of ``source``.
 
-    The default construction used by the CLI's regression mode when no
-    explicit splits are available.
+    The construction ``doc-reg`` uses, in the harness and the CLI.
     """
+    if n_sets < 0:
+        raise InvalidArgumentError(f"calibration sets must not be negative, got {n_sets}")
     if source.labels is None:
         raise MissingLabelsError("calibration resamples need a labeled source set")
     rng = np.random.default_rng(seed)
@@ -125,28 +56,47 @@ def bootstrap_calibration(
 def doc_estimate(
     source: PredictionSet,
     target: PredictionSet,
-    mode: DocMode = DocMode.NAIVE,
-    model: DocModel | None = None,
     calibration: Sequence[tuple[PredictionSet, MetricValue | float]] | None = None,
 ) -> MetricValue:
     """Estimated target accuracy, clamped to [0, 1].
 
-    Regression mode uses ``model`` if given, otherwise fits one on
-    ``calibration``; with neither it cannot run.
+    A set's gap is the source's mean max-confidence minus its own: zero
+    on identical sets, negative for a more confident set. Without
+    ``calibration`` the predicted accuracy drop is the target's gap
+    (naive DoC). Otherwise each entry pairs a set with its known accuracy,
+    giving one (gap, drop) point relative to ``source``, and the drop is
+    read off the least-squares line through two or more such points
+    (regression DoC). How the sets are built is up to the caller.
     """
     if source.labels is None:
         raise MissingLabelsError("DoC needs labels on the source set")
-    gap = doc_gap(source, target)
+    source_conf = _mean_max_conf(source)
     acc_s = true_accuracy(source).accuracy
-    if mode is DocMode.NAIVE:
-        drop = gap
-    else:
-        if model is None:
-            if calibration is None:
-                raise InsufficientCalibrationError(
-                    "regression mode needs a fitted model or calibration sets"
-                )
-            model = fit_doc_regression(source, calibration)
-        drop = model.predicted_drop(gap)
+
+    def gap(data: PredictionSet, name: str) -> float:
+        if data.k != source.k:
+            raise DimensionMismatchError(
+                f"source has k={source.k} classes but {name} has k={data.k}"
+            )
+        return source_conf - _mean_max_conf(data)
+
+    drop = gap(target, "target")
+    if calibration is not None:
+        if len(calibration) < 2:
+            raise InsufficientCalibrationError(
+                f"regression needs >= 2 calibration sets, got {len(calibration)}"
+            )
+        gaps = np.array(
+            [gap(cal, f"calibration set {i}") for i, (cal, _) in enumerate(calibration)]
+        )
+        accs = np.array(
+            [a.accuracy if isinstance(a, MetricValue) else float(a) for _, a in calibration]
+        )
+        if np.ptp(gaps) <= _GAP_RESOLUTION:
+            raise DegenerateDesignError(
+                f"all calibration gaps are identical (within {_GAP_RESOLUTION:g})"
+            )
+        slope, intercept = np.polyfit(gaps, acc_s - accs, deg=1)
+        drop = float(intercept) + float(slope) * drop
     value = min(1.0, max(0.0, acc_s - drop))
     return MetricValue(value, Convention.ACCURACY)

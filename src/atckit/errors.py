@@ -42,7 +42,7 @@ class InsufficientCalibrationError(AtckitError):
 
 
 class DegenerateDesignError(AtckitError):
-    """All calibration gaps are identical; the regression is singular."""
+    """All calibration gaps are identical up to rounding; the regression is singular."""
 
 
 class ParseError(AtckitError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atc import atc_estimate
-from .doc import DocMode, bootstrap_calibration, doc_estimate
+from .doc import bootstrap_calibration, doc_estimate
 from .errors import EmptyInputError, InvalidArgumentError
 from .scores import SCORE_IDS, ScoreFunction
 from .simplex import MetricValue, PredictionSet, true_accuracy
@@ -118,10 +118,10 @@ def estimate_metric(
     if method in SCORE_IDS:
         return atc_estimate(source, target, ScoreFunction(method)).target_value
     if method == "doc":
-        return doc_estimate(source, target, DocMode.NAIVE)
+        return doc_estimate(source, target)
     if method == "doc-reg":
         calibration = bootstrap_calibration(source, calibration_sets, seed=[seed, 1])
-        return doc_estimate(source, target, DocMode.REGRESSION, calibration=calibration)
+        return doc_estimate(source, target, calibration)
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 

@@ -226,7 +226,8 @@ def verify_equivalence_relation(
     uniform samples from the simplex, so the verdicts are comparable.
     With ``search_budget`` > 0, a pair that looks consistent there is
     also attacked with :func:`search_counterexample`; every pair's search
-    draws the same pool, from a stream independent of the sample. 0 skips
+    draws the same pool, from a stream independent of the sample (also
+    for ``seed`` None, which draws fresh entropy once for both). 0 skips
     the search, and a negative budget is rejected. The dense check is
     quadratic, so the sample and the search pool are capped at
     ``MAX_POINTS``. A verdict's ``pairs_checked`` counts the sample pairs
@@ -251,6 +252,8 @@ def verify_equivalence_relation(
     pool_pairs = comb(_pool_size(search_budget), 2)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)
+    if seed is None:  # one fresh draw, so every pair still searches the same pool
+        seed = np.random.SeedSequence().entropy
     points = sample_simplex(k, n_points, seed)
     search_seed = [*np.ravel(seed), 1]
 

@@ -41,11 +41,6 @@ class ScoreFunction(Enum):
 SCORE_IDS = tuple(fn.value for fn in ScoreFunction)
 
 
-def uniform_vector(k: int) -> np.ndarray:
-    """The centroid of the (k-1)-simplex."""
-    return np.full(k, 1.0 / k)
-
-
 def _sorted_row_sum(terms: np.ndarray) -> np.ndarray:
     # sort per row so the summation order is permutation-independent, then
     # accumulate strictly left to right: cumsum cannot reassociate, whereas

@@ -68,21 +68,16 @@ class MetricValue:
         return MetricValue(1.0 - self.value, convention)
 
 
-def validate_vector(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
-    """Validate one probability vector and renormalize it exactly.
+def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
+    """Validate an (n, k) array of probability vectors and renormalize each row exactly.
 
-    Components in [-tolerance, 0) are clamped to zero (serialization
-    noise); anything below -tolerance or a sum further than ``tolerance``
-    from one is rejected.
+    A single vector is read as one row. Components in [-tolerance, 0)
+    are clamped to zero (serialization noise); anything below -tolerance
+    or a row sum further than ``tolerance`` from one is rejected.
 
-    Returns a read-only float64 array summing to 1 within machine
+    Returns a read-only float64 matrix whose rows sum to 1 within machine
     precision.
     """
-    return validate_matrix(raw, tolerance)[0]
-
-
-def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
-    """Row-wise :func:`validate_vector` for an (n, k) array."""
     probs = np.array(raw, dtype=np.float64, ndmin=2)
     if probs.ndim != 2:
         raise DimensionError(f"expected a matrix of row vectors, got ndim={probs.ndim}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .simplex import PredictionSet, validate_vector
+from .simplex import PredictionSet, validate_matrix
 
 #: Rejection rounds before forcing the argmax deterministically.
 _MAX_REDRAWS = 1000
@@ -64,7 +64,7 @@ class GeneratorSpec:
 def _label_prior(spec: GeneratorSpec) -> np.ndarray:
     if spec.shift is None or spec.shift.label_prior is None:
         return np.full(spec.k, 1.0 / spec.k)
-    prior = validate_vector(spec.shift.label_prior)
+    prior = validate_matrix(spec.shift.label_prior)[0]
     if prior.size != spec.k:
         raise InvalidArgumentError(f"label prior has {prior.size} entries for k={spec.k}")
     return prior

@@ -60,6 +60,29 @@ def two_point_line(g1, d1, g2, d2):
     return slope, intercept
 
 
+def doc_regression_reference(source_conf, source_acc, target_conf, calibration):
+    """Regression DoC before clamping, from the centred normal equations.
+
+    ``source_conf`` and ``target_conf`` hold per-row max confidences and
+    ``calibration`` holds (per-row max confidences, accuracy) pairs. Each
+    calibration set gives the point (gap, drop) = (source mean minus its
+    mean, source accuracy minus its accuracy); the least-squares line
+    through those points is evaluated at the target gap and the drop
+    subtracted from the source accuracy.
+    """
+    source_mean = naive_mean(source_conf)
+    gaps = [source_mean - naive_mean(conf) for conf, _ in calibration]
+    drops = [source_acc - acc for _, acc in calibration]
+    gap_bar, drop_bar = naive_mean(gaps), naive_mean(drops)
+    sxy, sxx = 0.0, 0.0
+    for g, d in zip(gaps, drops):
+        sxy += (g - gap_bar) * (d - drop_bar)
+        sxx += (g - gap_bar) * (g - gap_bar)
+    slope = sxy / sxx
+    intercept = drop_bar - slope * gap_bar
+    return source_acc - (intercept + slope * (source_mean - naive_mean(target_conf)))
+
+
 def js_divergence_reference(p, base_k):
     """Jensen-Shannon divergence to the uniform vector, scalar loops."""
     u = 1.0 / base_k

@@ -300,6 +300,13 @@ class TestBadFlagValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_negative_calibration_sets_named(self, tmp_path, capsys):
+        src, tgt = _write_pair(tmp_path, k=3, n=50)
+        argv = ["estimate", "--source", str(src), "--target", str(tgt), "--method", "doc-reg",
+                "--calibration-sets", "-3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: calibration sets must not be negative, got -3\n"
+
     def test_json_label_out_of_range(self, tmp_path, capsys):
         dump = tmp_path / "bad.json"
         dump.write_text('{"probs": [[0.9, 0.1], [0.5, 0.5]], "labels": [0, 5]}')

@@ -1,7 +1,9 @@
-"""Every name a demo imports from atckit exists.
+"""Every name a demo imports from atckit exists, and so does every name in ``__all__``.
 
 The demos are not run here (they take about as long as the rest of the
-suite); parsing them is enough to catch a renamed or deleted import.
+suite); parsing them is enough to catch a renamed or deleted import. A
+stale ``__all__`` entry breaks only ``from atckit import *``, so it is
+checked on its own.
 """
 
 import ast
@@ -9,6 +11,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import atckit
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -44,3 +48,9 @@ def _resolves(module: str, name) -> bool:
 def test_demo_imports_resolve(demo):
     for module, name in _atckit_imports(demo):
         assert _resolves(module, name), f"{demo.name}: {module} has no {name!r}"
+
+
+def test_all_names_exist_once():
+    assert len(atckit.__all__) == len(set(atckit.__all__))
+    missing = [name for name in atckit.__all__ if not hasattr(atckit, name)]
+    assert not missing

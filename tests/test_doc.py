@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from atckit import (
     DegenerateDesignError,
     DimensionMismatchError,
-    DocMode,
-    DocModel,
     InsufficientCalibrationError,
+    InvalidArgumentError,
     MissingLabelsError,
     PredictionSet,
     bootstrap_calibration,
     doc_estimate,
-    doc_gap,
-    fit_doc_regression,
     true_accuracy,
 )
 
-from oracles import two_point_line
+from oracles import doc_regression_reference, two_point_line
 
 
 def _constant_set(vector, n, labels=None):
@@ -28,33 +25,11 @@ def _constant_set(vector, n, labels=None):
     return PredictionSet(probs, labels)
 
 
-class TestDocGap:
-    def test_identical_sets_gap_zero(self):
-        data = _constant_set([0.7, 0.3], 5)
-        assert doc_gap(data, data) == 0.0
-
-    def test_constructed_tenth_gap(self):
-        source = _constant_set([0.9, 0.1], 3)
-        target = _constant_set([0.8, 0.2], 3)
-        assert doc_gap(source, target) == pytest.approx(0.1, abs=1e-12)
-
-    def test_gap_can_be_negative(self):
-        source = _constant_set([0.5, 0.5], 1)
-        target = _constant_set([1.0, 0.0], 1)
-        assert doc_gap(source, target) == -0.5
-
-    def test_antisymmetric_exactly(self):
-        rng = np.random.default_rng(0)
-        a = PredictionSet(rng.dirichlet(np.ones(3), 40))
-        b = PredictionSet(rng.dirichlet(np.ones(3), 60))
-        assert doc_gap(a, b) == -doc_gap(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            doc_gap(_constant_set([0.5, 0.5], 1), _constant_set([0.4, 0.3, 0.3], 1))
-
-
 class TestNaiveEstimate:
+    def test_identical_sets_gap_zero(self):
+        data = _constant_set([0.7, 0.3], 5, labels=[0, 0, 0, 1, 1])
+        assert doc_estimate(data, data).accuracy == true_accuracy(data).accuracy
+
     def test_identity_target_returns_source_accuracy(self):
         rng = np.random.default_rng(1)
         probs = rng.dirichlet(np.ones(4), 100)
@@ -70,6 +45,12 @@ class TestNaiveEstimate:
         assert true_accuracy(source).accuracy == 0.85
         est = doc_estimate(source, target)
         assert est.accuracy == pytest.approx(0.75, abs=1e-12)
+
+    def test_negative_gap_raises_the_estimate(self):
+        # source accuracy 0.25 at confidence 0.5; the target is sure, gap -0.5
+        source = _constant_set([0.5, 0.5], 4, labels=[0, 1, 1, 1])
+        target = _constant_set([1.0, 0.0], 1)
+        assert doc_estimate(source, target).accuracy == 0.75
 
     def test_clamped_at_zero(self):
         source = _constant_set([0.9, 0.1], 20, labels=[1] * 19 + [0])
@@ -89,48 +70,43 @@ class TestNaiveEstimate:
         with pytest.raises(MissingLabelsError):
             doc_estimate(_constant_set([0.5, 0.5], 2), _constant_set([0.5, 0.5], 2))
 
+    def test_target_dimension_mismatch(self):
+        source = _constant_set([0.5, 0.5], 1, labels=[0])
+        with pytest.raises(DimensionMismatchError, match="target has k=3"):
+            doc_estimate(source, _constant_set([0.4, 0.3, 0.3], 1))
+
 
 class TestRegression:
     def _source(self):
         return _constant_set([0.9, 0.1], 10, labels=[0] * 10)  # accuracy 1, conf 0.9
 
-    def test_two_point_exact_line(self):
-        source = self._source()
-        calibration = [
-            (_constant_set([0.9, 0.1], 10), 1.0),  # gap 0, drop 0
-            (_constant_set([0.8, 0.2], 10), 0.9),  # gap 0.1, drop 0.1
-        ]
-        model = fit_doc_regression(source, calibration)
-        assert model.slope == pytest.approx(1.0, abs=1e-9)
-        assert model.intercept == pytest.approx(0.0, abs=1e-10)
-        assert 1 / source.k <= model.source_mean_conf <= 1.0
-        assert model.source_accuracy.accuracy == 1.0
-
     def test_two_point_matches_closed_form(self):
         rng = np.random.default_rng(4)
+        source = self._source()
         for _ in range(20):
-            c1, c2 = sorted(rng.uniform(0.55, 0.95, size=2))
+            c1, c2, ct = rng.uniform(0.55, 0.95, size=3)
             a1, a2 = rng.uniform(0.2, 1.0, size=2)
-            source = self._source()
             calibration = [
                 (_constant_set([c1, 1 - c1], 10), a1),
                 (_constant_set([c2, 1 - c2], 10), a2),
             ]
-            model = fit_doc_regression(source, calibration)
+            target = _constant_set([ct, 1 - ct], 10)
             slope, intercept = two_point_line(0.9 - c1, 1.0 - a1, 0.9 - c2, 1.0 - a2)
-            assert model.slope == pytest.approx(slope, abs=1e-12, rel=1e-12)
-            assert model.intercept == pytest.approx(intercept, abs=1e-12, rel=1e-12)
+            expected = 1.0 - (intercept + slope * (0.9 - ct))
+            est = doc_estimate(source, target, calibration)
+            assert est.accuracy == pytest.approx(min(1.0, max(0.0, expected)), abs=1e-12)
 
     def test_three_collinear_points_fit_exactly(self):
+        # drop = 2 * gap through all three points
         source = self._source()
         calibration = [
             (_constant_set([0.9, 0.1], 10), 1.0),
             (_constant_set([0.8, 0.2], 10), 0.8),
             (_constant_set([0.7, 0.3], 10), 0.6),
         ]
-        model = fit_doc_regression(source, calibration)
-        assert model.slope == pytest.approx(2.0, abs=1e-9)
-        assert model.intercept == pytest.approx(0.0, abs=1e-9)
+        target = _constant_set([0.85, 0.15], 10)  # gap 0.05, predicted drop 0.1
+        est = doc_estimate(source, target, calibration)
+        assert est.accuracy == pytest.approx(0.9, abs=1e-9)
 
     def test_equal_gaps_degenerate(self):
         source = self._source()
@@ -139,42 +115,68 @@ class TestRegression:
             (_constant_set([0.8, 0.2], 10), 0.7),
         ]
         with pytest.raises(DegenerateDesignError):
-            fit_doc_regression(source, calibration)
+            doc_estimate(source, self._source(), calibration)
 
-    def test_insufficient_calibration(self):
+    def test_gaps_equal_up_to_rounding_degenerate(self):
+        # one multiset of rows in two orders: the mean confidences differ
+        # only in the last bit, so the gaps determine no line
+        rows = [[0.18, 0.82], [0.63, 0.37], [0.48, 0.52], [0.51, 0.49]]
+        source = PredictionSet(rows, [1, 0, 0, 0])
+        cal_a, cal_b = source.subset([0, 0, 3, 1]), source.subset([0, 0, 1, 3])
+        conf_a, conf_b = (float(np.mean(c.probs.max(axis=1))) for c in (cal_a, cal_b))
+        assert conf_a != conf_b and abs(conf_a - conf_b) < 1e-15
+        calibration = [(cal_a, true_accuracy(cal_a)), (cal_b, true_accuracy(cal_b))]
+        with pytest.raises(DegenerateDesignError):
+            doc_estimate(source, source, calibration)
+
+    def test_fewer_than_two_sets(self):
         source = self._source()
         with pytest.raises(InsufficientCalibrationError):
-            fit_doc_regression(source, [(self._source(), 1.0)])
+            doc_estimate(source, self._source(), [(self._source(), 1.0)])
         with pytest.raises(InsufficientCalibrationError):
-            doc_estimate(source, self._source(), DocMode.REGRESSION)
+            doc_estimate(source, self._source(), [])
 
-    def test_estimate_applies_fitted_drop(self):
+    def test_calibration_dimension_mismatch(self):
         source = self._source()
         calibration = [
-            (_constant_set([0.9, 0.1], 10), 1.0),
-            (_constant_set([0.8, 0.2], 10), 0.8),
+            (_constant_set([0.8, 0.2], 10), 0.9),
+            (_constant_set([0.8, 0.1, 0.1], 10), 0.7),
         ]
-        target = _constant_set([0.85, 0.15], 10)  # gap 0.05, predicted drop 0.1
-        est = doc_estimate(source, target, DocMode.REGRESSION, calibration=calibration)
-        assert est.accuracy == pytest.approx(0.9, abs=1e-9)
+        with pytest.raises(DimensionMismatchError, match="calibration set 1 has k=3"):
+            doc_estimate(source, self._source(), calibration)
 
-    def test_prefit_model_reused(self):
-        source = self._source()
-        model = DocModel(
-            mode=DocMode.REGRESSION, intercept=0.0, slope=1.0,
-            source_mean_conf=0.9, source_accuracy=true_accuracy(source),
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_least_squares_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(2, 6)), int(rng.integers(2, 40))
+        source = PredictionSet(
+            rng.dirichlet(np.full(k, rng.uniform(0.3, 3.0)), n), rng.integers(0, k, n)
         )
-        target = _constant_set([0.8, 0.2], 10)
-        est = doc_estimate(source, target, DocMode.REGRESSION, model=model)
-        assert est.accuracy == pytest.approx(0.9, abs=1e-12)
+        target = PredictionSet(
+            rng.dirichlet(np.full(k, rng.uniform(0.3, 3.0)), int(rng.integers(1, 40)))
+        )
+        calibration = bootstrap_calibration(source, int(rng.integers(2, 8)), seed)
 
-    def test_naive_model_fields_pinned(self):
-        with pytest.raises(ValueError):
-            DocModel(
-                mode=DocMode.NAIVE, intercept=0.1, slope=1.0,
-                source_mean_conf=0.9,
-                source_accuracy=true_accuracy(self._source()),
-            )
+        def conf(data):
+            return [max(row) for row in data.probs.tolist()]
+
+        def acc(data):
+            rows, labels = data.probs.tolist(), data.labels.tolist()
+            hits = sum(row.index(max(row)) == label for row, label in zip(rows, labels))
+            return hits / len(rows)
+
+        try:
+            got = doc_estimate(source, target, calibration).accuracy
+        except DegenerateDesignError:  # allowed only when every calibration gap coincides
+            means = [np.mean(conf(cal)) for cal, _ in calibration]
+            assert max(means) - min(means) < 1e-12
+            return
+        # the reference is unclamped; the estimate clamps it to [0, 1]
+        expected = doc_regression_reference(
+            conf(source), acc(source), conf(target), [(conf(cal), acc(cal)) for cal, _ in calibration]
+        )
+        assert got == pytest.approx(min(1.0, max(0.0, expected)), abs=1e-12)
 
 
 class TestBootstrapCalibration:
@@ -187,5 +189,9 @@ class TestBootstrapCalibration:
             assert np.array_equal(s1.probs, s2.probs)
             assert a1 == a2
         # enough variation for a non-degenerate fit
-        model = fit_doc_regression(source, cal1)
-        assert np.isfinite(model.slope)
+        assert 0.0 <= doc_estimate(source, source, cal1).accuracy <= 1.0
+
+    def test_negative_count_rejected(self):
+        source = _constant_set([0.9, 0.1], 4, labels=[0] * 4)
+        with pytest.raises(InvalidArgumentError, match="got -3"):
+            bootstrap_calibration(source, -3, seed=0)

@@ -192,6 +192,20 @@ class TestEquivalenceRelation:
         assert pool.shape[0] > simplex_grid(k, 0.1).shape[0]  # random points too
         assert set(map(tuple, pool)).isdisjoint(map(tuple, sample))
 
+    def test_seed_none_draws_one_fresh_pool_for_every_pair(self, monkeypatch):
+        seen = _dense_check_inputs(monkeypatch)
+        fns = (ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, ScoreFunction.L2_NORM)
+        report = verify_equivalence_relation(fns, 3, 20, None, search_budget=10)
+        assert all(verdict.consistent for verdict in report.verdicts.values())
+        samples, pools = seen[0::2], seen[1::2]
+        assert len(samples) == len(pools) == 3
+        for sample, pool in zip(samples, pools):
+            assert np.array_equal(sample, samples[0]) and np.array_equal(pool, pools[0])
+        assert set(map(tuple, pools[0])).isdisjoint(map(tuple, samples[0]))
+        seen.clear()
+        verify_equivalence_relation(fns[:2], 3, 20, None, search_budget=10)
+        assert not np.array_equal(seen[0], samples[0])  # a new draw per call
+
     def test_oversized_search_pool_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the budget was checked")

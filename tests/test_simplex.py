@@ -15,43 +15,43 @@ from atckit import (
     NotOnSimplexError,
     PredictionSet,
     true_accuracy,
-    validate_vector,
+    validate_matrix,
 )
 
 
 class TestValidateVector:
     def test_exact_point_unchanged(self):
-        v = validate_vector([0.5, 0.5])
+        v = validate_matrix([0.5, 0.5])[0]
         assert v.tolist() == [0.5, 0.5]
 
     def test_three_class_point(self):
-        v = validate_vector([0.5, 0.2, 0.3])
+        v = validate_matrix([0.5, 0.2, 0.3])[0]
         assert v.tolist() == [0.5, 0.2, 0.3]
 
     def test_sum_off_by_too_much(self):
         with pytest.raises(NotOnSimplexError):
-            validate_vector([0.6, 0.6])
+            validate_matrix([0.6, 0.6])
 
     def test_sum_within_tolerance_renormalized(self):
-        v = validate_vector([0.5, 0.5000004])
+        v = validate_matrix([0.5, 0.5000004])[0]
         assert abs(v.sum() - 1.0) <= 1e-12
 
     def test_tiny_negative_clamped(self):
-        v = validate_vector([1.0, -1e-9, 1e-9])
+        v = validate_matrix([1.0, -1e-9, 1e-9])[0]
         assert v.min() >= 0.0
         assert abs(v.sum() - 1.0) <= 1e-12
 
     def test_large_negative_rejected(self):
         with pytest.raises(NotOnSimplexError):
-            validate_vector([1.1, -0.1])
+            validate_matrix([1.1, -0.1])
 
     def test_single_component_rejected(self):
         with pytest.raises(DimensionError):
-            validate_vector([1.0])
+            validate_matrix([1.0])
 
     def test_nan_rejected(self):
         with pytest.raises(NotOnSimplexError):
-            validate_vector([0.5, float("nan")])
+            validate_matrix([0.5, float("nan")])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12).filter(
@@ -62,7 +62,7 @@ class TestValidateVector:
     def test_renormalization_invariant(self, raw):
         # arbitrary positive vectors scaled onto the simplex stay there
         scale = sum(raw)
-        v = validate_vector([x / scale for x in raw], tolerance=1e-6)
+        v = validate_matrix([x / scale for x in raw], tolerance=1e-6)[0]
         assert abs(v.sum() - 1.0) <= 1e-12
         assert v.min() >= 0.0
 
