@@ -58,8 +58,9 @@ for diff in pairwise_difference_report(errors, ci_level=config.ci_level):
           f"[{diff.ci_low:+.4f}, {diff.ci_high:+.4f}]{flag}")
 print()
 
-out_dir = Path(tempfile.mkdtemp(prefix="atckit-benchmark-"))
-write_runs_csv(errors, out_dir / "runs.csv")
-write_aggregate_csv(rows, out_dir / "aggregate.csv")
-print(f"per-run records and aggregates written to {out_dir}")
+with tempfile.TemporaryDirectory(prefix="atckit-benchmark-") as tmp:
+    out_dir = Path(tmp)
+    write_runs_csv(errors, out_dir / "runs.csv")
+    write_aggregate_csv(rows, out_dir / "aggregate.csv")
+    print(f"per-run records and aggregates written to {out_dir} (removed on exit)")
 print("(identical seeds and inputs reproduce these files byte for byte)")

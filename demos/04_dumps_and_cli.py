@@ -13,7 +13,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-work = Path(tempfile.mkdtemp(prefix="atckit-cli-"))
+scratch = tempfile.TemporaryDirectory(prefix="atckit-cli-")  # also removed if a step fails
+work = Path(scratch.name)
 
 
 def run(*args, expect=0):
@@ -58,4 +59,5 @@ bad = work / "broken.csv"
 bad.write_text("p0,p1\n0.9,0.1\n0.9,0.3\n")
 run("estimate", "--source", str(bad), "--target", str(bad), expect=2)
 
-print(f"artifacts left in {work}")
+scratch.cleanup()
+print(f"artifacts in {work} removed")

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, MissingLabelsError
+from .errors import EmptyInputError
 from .scores import Scorer, score_batch
-from .simplex import Convention, MetricValue, PredictionSet, true_accuracy
+from .simplex import Convention, MetricValue, PredictionSet, check_estimation_pair, true_accuracy
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,7 @@ def atc_estimate(source: PredictionSet, target: PredictionSet, fn: Scorer) -> At
     source error, and reports the target below-threshold fraction. The
     returned estimate converts freely between error and accuracy.
     """
-    if source.labels is None:
-        raise MissingLabelsError("ATC needs labels on the source set")
-    if source.k != target.k:
-        raise DimensionMismatchError(
-            f"source has k={source.k} classes but target has k={target.k}"
-        )
+    check_estimation_pair(source, target, "ATC")
     gamma_s = true_accuracy(source).converted(Convention.ERROR)
     model = learn_threshold(score_batch(source, fn), gamma_s)
     return AtcEstimate(model=model, target_value=estimate_target(model, score_batch(target, fn)))

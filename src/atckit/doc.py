@@ -22,7 +22,14 @@ from .errors import (
     MissingLabelsError,
 )
 from .scores import ScoreFunction, score_batch
-from .simplex import Convention, MetricValue, PredictionSet, true_accuracy
+from .simplex import (
+    Convention,
+    MetricValue,
+    PredictionSet,
+    check_estimation_pair,
+    resample_indices,
+    true_accuracy,
+)
 
 
 #: Calibration gaps this close differ only by summation rounding (e.g. two
@@ -34,6 +41,14 @@ def _mean_max_conf(data: PredictionSet) -> float:
     return float(np.mean(score_batch(data, ScoreFunction.MAX_CONF)))
 
 
+def check_calibration(source: PredictionSet, n_sets: int) -> None:
+    """Raise unless ``n_sets`` calibration resamples can be drawn from ``source``."""
+    if n_sets < 0:
+        raise InvalidArgumentError(f"calibration sets must not be negative, got {n_sets}")
+    if source.labels is None:
+        raise MissingLabelsError("calibration resamples need a labeled source set")
+
+
 def bootstrap_calibration(
     source: PredictionSet, n_sets: int, seed
 ) -> list[tuple[PredictionSet, MetricValue]]:
@@ -41,16 +56,42 @@ def bootstrap_calibration(
 
     The construction ``doc-reg`` uses, in the harness and the CLI.
     """
-    if n_sets < 0:
-        raise InvalidArgumentError(f"calibration sets must not be negative, got {n_sets}")
-    if source.labels is None:
-        raise MissingLabelsError("calibration resamples need a labeled source set")
-    rng = np.random.default_rng(seed)
+    check_calibration(source, n_sets)
     out = []
-    for _ in range(n_sets):
-        resample = source.subset(rng.integers(0, len(source), size=len(source)))
+    for idx in resample_indices(len(source), seed, n_sets):
+        resample = source.subset(idx)
         out.append((resample, true_accuracy(resample)))
     return out
+
+
+def doc_accuracy(
+    source_accuracy: float,
+    source_conf: float,
+    target_conf: float,
+    calibration: Sequence[tuple[float, float]] | None = None,
+) -> MetricValue:
+    """The DoC arithmetic of :func:`doc_estimate` on per-set summaries.
+
+    ``source_conf`` and ``target_conf`` are mean max-confidences;
+    ``calibration`` holds one (mean max-confidence, accuracy) pair per
+    calibration set.
+    """
+    drop = source_conf - target_conf
+    if calibration is not None:
+        if len(calibration) < 2:
+            raise InsufficientCalibrationError(
+                f"regression needs >= 2 calibration sets, got {len(calibration)}"
+            )
+        confs, accs = np.array(calibration, dtype=np.float64).T
+        gaps = source_conf - confs
+        if np.ptp(gaps) <= _GAP_RESOLUTION:
+            raise DegenerateDesignError(
+                f"all calibration gaps are identical (within {_GAP_RESOLUTION:g})"
+            )
+        slope, intercept = np.polyfit(gaps, source_accuracy - accs, deg=1)
+        drop = float(intercept) + float(slope) * drop
+    value = min(1.0, max(0.0, source_accuracy - drop))
+    return MetricValue(value, Convention.ACCURACY)
 
 
 def doc_estimate(
@@ -68,35 +109,18 @@ def doc_estimate(
     read off the least-squares line through two or more such points
     (regression DoC). How the sets are built is up to the caller.
     """
-    if source.labels is None:
-        raise MissingLabelsError("DoC needs labels on the source set")
-    source_conf = _mean_max_conf(source)
-    acc_s = true_accuracy(source).accuracy
-
-    def gap(data: PredictionSet, name: str) -> float:
-        if data.k != source.k:
-            raise DimensionMismatchError(
-                f"source has k={source.k} classes but {name} has k={data.k}"
-            )
-        return source_conf - _mean_max_conf(data)
-
-    drop = gap(target, "target")
+    check_estimation_pair(source, target, "DoC")
+    summaries = None
     if calibration is not None:
-        if len(calibration) < 2:
-            raise InsufficientCalibrationError(
-                f"regression needs >= 2 calibration sets, got {len(calibration)}"
-            )
-        gaps = np.array(
-            [gap(cal, f"calibration set {i}") for i, (cal, _) in enumerate(calibration)]
-        )
-        accs = np.array(
-            [a.accuracy if isinstance(a, MetricValue) else float(a) for _, a in calibration]
-        )
-        if np.ptp(gaps) <= _GAP_RESOLUTION:
-            raise DegenerateDesignError(
-                f"all calibration gaps are identical (within {_GAP_RESOLUTION:g})"
-            )
-        slope, intercept = np.polyfit(gaps, acc_s - accs, deg=1)
-        drop = float(intercept) + float(slope) * drop
-    value = min(1.0, max(0.0, acc_s - drop))
-    return MetricValue(value, Convention.ACCURACY)
+        for i, (data, _) in enumerate(calibration):
+            if data.k != source.k:
+                raise DimensionMismatchError(
+                    f"source has k={source.k} classes but calibration set {i} has k={data.k}"
+                )
+        summaries = [
+            (_mean_max_conf(data), acc.accuracy if isinstance(acc, MetricValue) else float(acc))
+            for data, acc in calibration
+        ]
+    return doc_accuracy(
+        true_accuracy(source).accuracy, _mean_max_conf(source), _mean_max_conf(target), summaries
+    )

@@ -25,11 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atc import atc_estimate
-from .doc import bootstrap_calibration, doc_estimate
+from .atc import atc_estimate, estimate_target, learn_threshold
+from .doc import bootstrap_calibration, check_calibration, doc_accuracy, doc_estimate
 from .errors import EmptyInputError, InvalidArgumentError
-from .scores import SCORE_IDS, ScoreFunction
-from .simplex import MetricValue, PredictionSet, true_accuracy
+from .scores import SCORE_IDS, ScoreFunction, score_batch
+from .simplex import (
+    Convention,
+    MetricValue,
+    PredictionSet,
+    check_estimation_pair,
+    resample_indices,
+    true_accuracy,
+)
 
 #: Every method id the harness understands, in canonical output order.
 CANONICAL_METHODS = SCORE_IDS + ("doc", "doc-reg")
@@ -99,8 +106,8 @@ def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     """Sample ``len(data)`` rows with replacement; labels travel along."""
     if len(data) == 0:
         raise EmptyInputError("cannot resample an empty set")
-    rng = np.random.default_rng(seed)
-    return data.subset(rng.integers(0, len(data), size=len(data)))
+    (idx,) = resample_indices(len(data), seed)
+    return data.subset(idx)
 
 
 def estimate_metric(
@@ -140,15 +147,54 @@ def bootstrap_estimates(
     calibration sets from it), so methods are compared on identical
     resamples and order-equivalent scores give equal per-run estimates.
     ``n_boot`` 0 gives empty lists.
+
+    Each run's estimate equals ``estimate_metric(method,
+    bootstrap_resample(source, seed), target, seed, calibration_sets)``
+    bit for bit, and an input error is raised as that call raises it.
+    But no resample is built: both sets are scored once per distinct
+    score function, and a run only draws an index vector into those
+    scores (every score works row by row).
     """
     if n_boot < 0:
         raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")
     estimates = {method: [] for method in methods}
+    if n_boot == 0:
+        return estimates
+    for method in methods:  # the errors estimate_metric raises before it reads a row
+        if method not in CANONICAL_METHODS:
+            raise InvalidArgumentError(f"unknown method {method!r}")
+        if method == "doc-reg":
+            check_calibration(source, calibration_sets)
+        check_estimation_pair(source, target, "ATC" if method in SCORE_IDS else "DoC")
+
+    kernels = dict.fromkeys(ScoreFunction(m if m in SCORE_IDS else "max") for m in methods)
+    scored = {fn: (score_batch(source, fn), score_batch(target, fn)) for fn in kernels}
+    correct = source.predicted_labels == source.labels
+    if ScoreFunction.MAX_CONF in scored:
+        source_max, target_max = scored[ScoreFunction.MAX_CONF]
+        target_conf = float(np.mean(target_max))
+
+    n = len(source)
     for run_index in range(n_boot):
         seed = derive_seed(master_seed, source.k, run_index)
-        resample = bootstrap_resample(source, seed)
+        (idx,) = resample_indices(n, seed)
+        hits = correct[idx]
+        accuracy = float(np.mean(hits))
+        gamma = MetricValue(accuracy, Convention.ACCURACY)
         for method, values in estimates.items():
-            values.append(estimate_metric(method, resample, target, seed, calibration_sets))
+            if method in SCORE_IDS:
+                source_scores, target_scores = scored[ScoreFunction(method)]
+                model = learn_threshold(source_scores[idx], gamma)
+                values.append(estimate_target(model, target_scores))
+                continue
+            conf = source_max[idx]
+            calibration = None
+            if method == "doc-reg":
+                calibration = [
+                    (np.mean(conf[j]), np.mean(hits[j]))
+                    for j in resample_indices(n, [seed, 1], calibration_sets)
+                ]
+            values.append(doc_accuracy(accuracy, float(np.mean(conf)), target_conf, calibration))
     return estimates
 
 

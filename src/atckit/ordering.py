@@ -228,11 +228,11 @@ def verify_equivalence_relation(
     also attacked with :func:`search_counterexample`; every pair's search
     draws the same pool, from a stream independent of the sample (also
     for ``seed`` None, which draws fresh entropy once for both). 0 skips
-    the search, and a negative budget is rejected. The dense check is
-    quadratic, so the sample and the search pool are capped at
-    ``MAX_POINTS``. A verdict's ``pairs_checked`` counts the sample pairs
-    plus the m(m-1)/2 pool pairs the search compared, whether or not it
-    found a witness.
+    the search, and a negative budget is rejected, as is an ``eps`` that
+    is negative, infinite or NaN. The dense check is quadratic, so the
+    sample and the search pool are capped at ``MAX_POINTS``. A verdict's
+    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool
+    pairs the search compared, whether or not it found a witness.
 
     The relation is reflexive and symmetric by construction, so the
     report lists the transitivity-violating triples and the resulting
@@ -249,6 +249,8 @@ def verify_equivalence_relation(
         )
     if search_budget < 0:
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
+    if not 0.0 <= eps < np.inf:  # also rejects NaN
+        raise InvalidArgumentError(f"eps must be finite and non-negative, got {eps}")
     pool_pairs = comb(_pool_size(search_budget), 2)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)

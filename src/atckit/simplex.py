@@ -177,3 +177,25 @@ def true_accuracy(data: PredictionSet) -> MetricValue:
         raise MissingLabelsError("true_accuracy needs a labeled prediction set")
     value = float(np.mean(data.predicted_labels == data.labels))
     return MetricValue(value, Convention.ACCURACY)
+
+
+def resample_indices(n: int, seed, n_sets: int = 1):
+    """Yield ``n_sets`` vectors of ``n`` row indices drawn with replacement.
+
+    They come in turn from one ``default_rng(seed)`` stream. Every score
+    works row by row, so the scores of ``data.subset(idx)`` are
+    ``scores[idx]`` bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n_sets):
+        yield rng.integers(0, n, size=n)
+
+
+def check_estimation_pair(source: PredictionSet, target: PredictionSet, estimator: str) -> None:
+    """Raise unless ``source`` is labeled and ``target`` has its class count."""
+    if source.labels is None:
+        raise MissingLabelsError(f"{estimator} needs labels on the source set")
+    if source.k != target.k:
+        raise DimensionMismatchError(
+            f"source has k={source.k} classes but target has k={target.k}"
+        )

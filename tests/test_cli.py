@@ -282,6 +282,9 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "3", "--points", "50", "--budget", "-3"],
     ["verify", "--k", "3", "--points", "50", "--budget", "-3", "--pair", "l2n,l2u"],
     ["verify", "--k", "3", "--points", "10", "--budget", "2001000"],
+    ["verify", "--k", "3", "--points", "10", "--eps", "nan"],
+    ["verify", "--k", "3", "--points", "10", "--eps", "inf"],
+    ["verify", "--k", "3", "--points", "10", "--eps", "-1"],
     ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
 ]
 

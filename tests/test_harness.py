@@ -1,10 +1,17 @@
 """Bootstrap harness: error tables, aggregation, ranking, pairwise report."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import atckit.scores
 from atckit import (
+    SCORE_IDS,
     AggregateRow,
+    AtckitError,
     BenchmarkConfig,
     EmptyInputError,
     GeneratorSpec,
@@ -19,7 +26,7 @@ from atckit import (
     run_benchmark,
     run_benchmark_suite,
 )
-from atckit.harness import bootstrap_estimates, derive_seed
+from atckit.harness import CANONICAL_METHODS, bootstrap_estimates, derive_seed, estimate_metric
 
 from oracles import naive_mean, quantile_sorted_index
 
@@ -147,6 +154,99 @@ class TestRunBenchmark:
         config = BenchmarkConfig(methods=("max",), n_boot=1)
         with pytest.raises(ValueError):
             run_benchmark_suite([pair, pair], config)
+
+
+def _per_run_reference(source, target, methods, n_boot, master_seed, calibration_sets=10):
+    """The per-run path: build each resample, then estimate every method on it."""
+    estimates = {method: [] for method in methods}
+    for run in range(n_boot):
+        seed = derive_seed(master_seed, source.k, run)
+        resample = bootstrap_resample(source, seed)
+        for method, values in estimates.items():
+            values.append(estimate_metric(method, resample, target, seed, calibration_sets))
+    return estimates
+
+
+def _outcome(estimator, *args):
+    """Bit patterns of every estimate, or the type and message of the error raised."""
+    try:
+        runs = estimator(*args)
+    except AtckitError as exc:
+        return type(exc), str(exc)
+    return {m: [(v.value.hex(), v.convention) for v in values] for m, values in runs.items()}
+
+
+@st.composite
+def _tied_pair(draw):
+    """Sets of at most 12 rows drawn from a pool of vertices, the uniform row and 3 others."""
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.vstack([np.eye(k), np.full(k, 1.0 / k), rng.dirichlet(np.ones(k), 3)])
+
+    def rows(n):
+        return pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return PredictionSet(rows(n), labels), PredictionSet(rows(draw(st.integers(1, 12))))
+
+
+class TestScoreOnceEngine:
+    @given(_tied_pair(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_run_reference(self, pair, master_seed):
+        # one method per call, so a doc-reg error does not hide the other methods
+        source, target = pair
+        for method in CANONICAL_METHODS:
+            args = (source, target, (method,), 3, master_seed)
+            assert _outcome(bootstrap_estimates, *args) == _outcome(_per_run_reference, *args)
+
+    @pytest.mark.parametrize("order", [CANONICAL_METHODS, CANONICAL_METHODS[::-1]], ids=["fwd", "rev"])
+    @pytest.mark.parametrize(
+        "fault", ["unlabeled", "target-k", "calibration--1", "calibration-1", "unknown-method"]
+    )
+    def test_input_errors_raised_as_the_reference_raises(self, fault, order):
+        source, target = _small_pair(n=40, seed=14)
+        calibration_sets = 10
+        if fault == "unlabeled":
+            source = PredictionSet(source.probs)
+        elif fault == "target-k":
+            target = _small_pair(k=4, n=40, seed=14)[1]
+        elif fault.startswith("calibration"):
+            calibration_sets = int(fault.split("-", 1)[1])
+        else:
+            order = order[:3] + ("mystery",) + order[3:]
+        args = (source, target, order, 2, 0, calibration_sets)
+        expected = _outcome(_per_run_reference, *args)
+        assert isinstance(expected, tuple)
+        assert _outcome(bootstrap_estimates, *args) == expected
+
+    @staticmethod
+    def _count_scoring(monkeypatch) -> list:
+        calls = []
+        original = atckit.scores.score_batch
+
+        def counting(data, fn):
+            calls.append(fn)
+            return original(data, fn)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("atckit") and getattr(module, "score_batch", None) is original:
+                monkeypatch.setattr(module, "score_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("methods", [CANONICAL_METHODS, ("doc", "max"), ("doc-reg", "l2n")])
+    def test_scores_each_set_once_per_score_function(self, monkeypatch, methods):
+        source, target = _small_pair(n=100, seed=15)
+        calls = self._count_scoring(monkeypatch)
+        counts = {}
+        for n_boot in (0, 5, 50):
+            calls.clear()
+            bootstrap_estimates(source, target, methods, n_boot, 0)
+            counts[n_boot] = len(calls)
+        kernels = {m if m in SCORE_IDS else "max" for m in methods}
+        assert counts[0] == 0
+        assert counts[5] == counts[50] <= 2 * len(kernels)
 
 
 class TestAggregate:
