@@ -27,6 +27,7 @@ from .simplex import (
     MetricValue,
     PredictionSet,
     check_estimation_pair,
+    check_seed,
     resample_indices,
     true_accuracy,
 )
@@ -57,6 +58,7 @@ def bootstrap_calibration(
     The construction ``doc-reg`` uses, in the harness and the CLI.
     """
     check_calibration(source, n_sets)
+    check_seed(seed)
     out = []
     for idx in resample_indices(len(source), seed, n_sets):
         resample = source.subset(idx)

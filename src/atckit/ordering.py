@@ -22,9 +22,15 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .scores import Scorer, score_batch
+from .simplex import check_seed
 
-#: Most points one dense check takes, for the sample and for a search pool.
+#: Most points one check takes, for the sample and for a search pool; the
+#: check compares every pair, so this bounds its time.
 MAX_POINTS = 2000
+
+#: Most pairs one block of the check compares (rows x columns), which
+#: bounds its memory whatever the number of points.
+_BLOCK_ELEMENTS = 2**18
 
 
 class VerdictStatus(Enum):
@@ -76,25 +82,40 @@ def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
     return bool(_signs(va[0] - va[1], eps) == _signs(vb[0] - vb[1], eps))
 
 
-def _first_violation(signs_a, signs_b):
-    disagree = signs_a != signs_b
-    disagree[np.tril_indices_from(disagree)] = False  # keep i < j only
-    hits = np.argwhere(disagree)
-    if hits.size == 0:
-        return None
-    return int(hits[0, 0]), int(hits[0, 1])
+def _first_violation(va: np.ndarray, vb: np.ndarray, eps: float):
+    """First pair i < j, in row-major order, whose signs disagree, or None.
+
+    Scans the upper triangle in blocks of rows, each holding at most
+    ``_BLOCK_ELEMENTS`` pairs, and stops at the first block with a
+    disagreement. A NaN difference never equals a sign, so it disagrees.
+    """
+    n = va.shape[0]
+    height = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for top in range(0, n - 1, height):
+        rows = slice(top, min(top + height, n - 1))
+        cols = slice(top + 1, n)
+        signs_a = _signs(va[rows, None] - va[None, cols], eps)
+        disagree = signs_a != _signs(vb[rows, None] - vb[None, cols], eps)
+        hits = np.flatnonzero(np.triu(disagree))  # c >= r keeps column j > row i
+        if hits.size:
+            r, c = divmod(int(hits[0]), disagree.shape[1])
+            return top + r, top + 1 + c
+    return None
 
 
 def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> OrderingVerdict:
-    """Exhaustive pairwise ordering check over a given point set."""
+    """Exhaustive pairwise ordering check over a given point set.
+
+    ``pairs_checked`` is n(n-1)/2, the pairs the verdict covers. A
+    counterexample is the first violating pair (i, j), i < j, in row
+    order, and the check stops there; consistency needs every pair.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     va = score_batch(points, fn_a)
     vb = score_batch(points, fn_b)
-    signs_a = _signs(va[:, None] - va[None, :], eps)
-    signs_b = _signs(vb[:, None] - vb[None, :], eps)
     pairs = n * (n - 1) // 2
-    hit = _first_violation(signs_a, signs_b)
+    hit = _first_violation(va, vb, eps)
     if hit is None:
         return OrderingVerdict(VerdictStatus.CONSISTENT_ON_SAMPLE, pairs, eps)
     i, j = hit
@@ -229,10 +250,11 @@ def verify_equivalence_relation(
     draws the same pool, from a stream independent of the sample (also
     for ``seed`` None, which draws fresh entropy once for both). 0 skips
     the search, and a negative budget is rejected, as is an ``eps`` that
-    is negative, infinite or NaN. The dense check is quadratic, so the
-    sample and the search pool are capped at ``MAX_POINTS``. A verdict's
-    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool
-    pairs the search compared, whether or not it found a witness.
+    is negative, infinite or NaN, and a seed with a negative entry. The
+    pairwise check takes quadratic time, so the sample and the search
+    pool are capped at ``MAX_POINTS``. A verdict's ``pairs_checked``
+    counts the sample pairs plus the m(m-1)/2 pool pairs the search
+    covered, whether or not it found a witness.
 
     The relation is reflexive and symmetric by construction, so the
     report lists the transitivity-violating triples and the resulting
@@ -251,6 +273,7 @@ def verify_equivalence_relation(
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
     if not 0.0 <= eps < np.inf:  # also rejects NaN
         raise InvalidArgumentError(f"eps must be finite and non-negative, got {eps}")
+    check_seed(seed)
     pool_pairs = comb(_pool_size(search_budget), 2)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)

@@ -191,6 +191,12 @@ def resample_indices(n: int, seed, n_sets: int = 1):
         yield rng.integers(0, n, size=n)
 
 
+def check_seed(seed) -> None:
+    """Reject a seed with a negative entry, which numpy's generators refuse."""
+    if seed is not None and np.any(np.asarray(seed) < 0):
+        raise InvalidArgumentError(f"seed must not be negative, got {seed}")
+
+
 def check_estimation_pair(source: PredictionSet, target: PredictionSet, estimator: str) -> None:
     """Raise unless ``source`` is labeled and ``target`` has its class count."""
     if source.labels is None:

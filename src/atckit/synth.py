@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .simplex import PredictionSet, validate_matrix
+from .simplex import PredictionSet, check_seed, validate_matrix
 
 #: Rejection rounds before forcing the argmax deterministically.
 _MAX_REDRAWS = 1000
@@ -59,6 +59,7 @@ class GeneratorSpec:
             raise InvalidArgumentError("target_accuracy must lie in (0, 1]")
         if not self.concentration > 0:
             raise InvalidArgumentError("concentration must be positive")
+        check_seed(self.seed)
 
 
 def _label_prior(spec: GeneratorSpec) -> np.ndarray:

@@ -7,6 +7,8 @@ of the implementation paths they check.
 
 import math
 
+import numpy as np
+
 
 def naive_learn_threshold(scores, gamma_error):
     """Quadratic scan over every candidate threshold.
@@ -93,3 +95,25 @@ def js_divergence_reference(p, base_k):
             total += 0.5 * pi * math.log(pi / m)
         total += 0.5 * u * math.log(u / m)
     return total
+
+
+def dense_first_violation(va, vb, eps):
+    """First pair i < j, in row-major order, that two score vectors order differently.
+
+    The dense check: both full n x n sign matrices of the differences
+    va[i] - va[j] and vb[i] - vb[j], where a difference within ``eps``
+    counts as zero and a NaN difference disagrees with everything. Returns
+    (i, j) or None.
+    """
+    va = np.asarray(va, dtype=np.float64)
+    vb = np.asarray(vb, dtype=np.float64)
+
+    def signs(delta):
+        return np.where(np.abs(delta) <= eps, 0.0, np.sign(delta))
+
+    disagree = signs(va[:, None] - va[None, :]) != signs(vb[:, None] - vb[None, :])
+    disagree[np.tril_indices_from(disagree)] = False
+    hits = np.argwhere(disagree)
+    if hits.size == 0:
+        return None
+    return int(hits[0, 0]), int(hits[0, 1])

@@ -285,7 +285,9 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "3", "--points", "10", "--eps", "nan"],
     ["verify", "--k", "3", "--points", "10", "--eps", "inf"],
     ["verify", "--k", "3", "--points", "10", "--eps", "-1"],
+    ["verify", "--k", "3", "--points", "10", "--seed", "-1"],
     ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
+    ["generate", "--k", "3", "--n", "5", "--seed", "-5"],
 ]
 
 
@@ -309,6 +311,20 @@ class TestBadFlagValues:
                 "--calibration-sets", "-3"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: calibration sets must not be negative, got -3\n"
+
+    def test_negative_seed_for_doc_reg_named(self, tmp_path, capsys):
+        src, tgt = _write_pair(tmp_path, k=3, n=50)
+        argv = ["estimate", "--source", str(src), "--target", str(tgt), "--method", "doc-reg", "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must not be negative, got [-1, 1]\n"
+
+    def test_negative_seed_hashed_where_derived(self, tmp_path):
+        # these seeds only feed derive_seed, which takes any integer
+        src, tgt = _write_pair(tmp_path, k=3, n=50)
+        assert main(["estimate", "--source", str(src), "--target", str(tgt), "--boot", "3", "--seed", "-1"]) == 0
+        argv = ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2", "--methods", "max", "doc-reg",
+                "--seed", "-1", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
 
     def test_json_label_out_of_range(self, tmp_path, capsys):
         dump = tmp_path / "bad.json"

@@ -195,3 +195,8 @@ class TestBootstrapCalibration:
         source = _constant_set([0.9, 0.1], 4, labels=[0] * 4)
         with pytest.raises(InvalidArgumentError, match="got -3"):
             bootstrap_calibration(source, -3, seed=0)
+
+    def test_negative_seed_rejected(self):
+        source = _constant_set([0.9, 0.1], 4, labels=[0] * 4)
+        with pytest.raises(InvalidArgumentError, match="seed must not be negative"):
+            bootstrap_calibration(source, 2, seed=[-1, 1])

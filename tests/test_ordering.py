@@ -1,13 +1,18 @@
 """Order-isomorphism verification and counterexample search."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atckit import (
     DimensionMismatchError,
     GeneratorSpec,
+    InvalidArgumentError,
     MonotoneTransform,
     ScoreFunction,
     Shift,
@@ -23,6 +28,8 @@ from atckit import (
 )
 from atckit import ordering
 from atckit.ordering import VerdictStatus, sample_simplex
+
+from oracles import dense_first_violation
 
 ALL_FNS = tuple(ScoreFunction)
 ALL_PAIRS = list(itertools.combinations(ALL_FNS, 2))
@@ -112,6 +119,89 @@ class TestVerifyOnSample:
         assert not check_pair(w.p, w.q, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
 
 
+def _lookup(values):
+    """Scorer for points (i,) that returns ``values[i]``, so any score vector can be checked."""
+    return lambda probs: values[probs[:, 0].astype(int)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# ties at and around each eps, signed zeros and NaN
+_SPECIAL_SCORES = [0.0, -0.0, 5e-13, 1e-12, 2e-12, 1e-3, 1e-3 + 1e-12, 2e-3, 0.5, 1.0, np.nan]
+_MONOTONE = [lambda v: v, lambda v: 2.0 * v + 1.0, lambda v: v**3, np.arctan]
+
+
+@st.composite
+def _score_pairs(draw):
+    """(block height, scores a, scores b) with n at and around the block boundaries."""
+    height = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.sampled_from([n for n in (1, 2, height - 1, height, height + 1, 2 * height + 1) if n >= 1]))
+    entry = st.one_of(st.sampled_from(_SPECIAL_SCORES), st.floats(-1.0, 1.0, allow_subnormal=False))
+    va = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=np.float64)
+    if draw(st.booleans()):  # consistent up to rounding, perhaps with one entry moved
+        vb = draw(st.sampled_from(_MONOTONE))(va)
+        if draw(st.booleans()):
+            vb[draw(st.integers(0, n - 1))] = draw(entry)
+    else:
+        vb = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=np.float64)
+    return height, va, vb
+
+
+class TestBlockedScanMatchesDenseOracle:
+    def _assert_matches_oracle(self, va, vb, eps):
+        n = va.shape[0]
+        points = np.arange(n, dtype=np.float64)[:, None]
+        verdict = verify_on_points(points, _lookup(va), _lookup(vb), eps)
+        hit = dense_first_violation(va, vb, eps)
+        assert verdict.pairs_checked == n * (n - 1) // 2
+        assert verdict.equality_tolerance == eps
+        if hit is None:
+            assert verdict.status is VerdictStatus.CONSISTENT_ON_SAMPLE
+            assert verdict.witness is None
+            return
+        i, j = hit
+        w = verdict.witness
+        assert verdict.status is VerdictStatus.COUNTEREXAMPLE
+        assert (w.p.tolist(), w.q.tolist()) == ([i], [j])
+        got = [_bits(x) for x in (w.score_a_p, w.score_a_q, w.score_b_p, w.score_b_q)]
+        assert got == [_bits(x) for x in (va[i], va[j], vb[i], vb[j])]
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=_score_pairs(), eps=st.sampled_from([0.0, 1e-12, 1e-3]))
+    def test_equals_dense_oracle_bit_for_bit(self, case, eps):
+        height, va, vb = case
+        with mock.patch.object(ordering, "_BLOCK_ELEMENTS", height * va.shape[0]):
+            self._assert_matches_oracle(va, vb, eps)
+
+    @pytest.mark.parametrize("swap", [None, 3, 400, 998])
+    def test_finds_a_late_violation_at_the_real_block_size(self, swap):
+        va = np.linspace(0.0, 1.0, 1000)
+        vb = va.copy()
+        if swap is not None:  # one adjacent pair in swapped order, past the first blocks
+            vb[[swap, swap + 1]] = vb[[swap + 1, swap]]
+        self._assert_matches_oracle(va, vb, 1e-12)
+
+    @pytest.mark.parametrize(
+        "fn_a, fn_b, consistent",
+        [
+            (ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, True),
+            (ScoreFunction.MAX_CONF, ScoreFunction.NEG_ENTROPY, False),
+        ],
+    )
+    def test_memory_stays_below_one_pair_matrix(self, fn_a, fn_b, consistent):
+        points = sample_simplex(3, ordering.MAX_POINTS, seed=0)
+        tracemalloc.start()
+        try:
+            verdict = verify_on_points(points, fn_a, fn_b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.consistent is consistent
+        assert peak <= 16 * 2**20  # one 2000 x 2000 float64 matrix is 30.5 MiB
+
+
 class TestSearchCounterexample:
     def test_grid_contains_published_pair(self):
         grid = simplex_grid(3, 0.1)
@@ -160,6 +250,11 @@ class TestSearchCounterexample:
 
 
 class TestEquivalenceRelation:
+    @pytest.mark.parametrize("seed", [-1, [3, -2]])
+    def test_negative_seed_named(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must not be negative"):
+            verify_equivalence_relation(ALL_FNS, k=3, n_points=10, seed=seed)
+
     def test_binary_single_class_of_six(self):
         report = verify_equivalence_relation(ALL_FNS, k=2, n_points=600, seed=0)
         assert not report.transitivity_violations

@@ -5,6 +5,7 @@ import pytest
 
 from atckit import (
     GeneratorSpec,
+    InvalidArgumentError,
     ScoreFunction,
     Shift,
     apply_temperature,
@@ -31,6 +32,10 @@ class TestSpecValidation:
             GeneratorSpec(k=3, n=10, target_accuracy=0.5, concentration=0.0)
         with pytest.raises(ValueError):
             Shift(temperature=0.0)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(InvalidArgumentError, match="seed must not be negative, got -5"):
+            GeneratorSpec(k=3, n=10, target_accuracy=0.8, seed=-5)
 
     def test_label_prior_must_match_k(self):
         spec = GeneratorSpec(
