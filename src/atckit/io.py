@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotOnSimplexError, ParseError
+from .errors import AtckitError, NotOnSimplexError, ParseError
 from .simplex import SUM_TOLERANCE, PredictionSet
 
 #: Sum tolerance applied when renormalization is disabled.
@@ -68,25 +68,26 @@ def load_dump(path, renormalize: bool = True, fmt: str | None = None) -> Predict
 
     With ``renormalize`` (the default) row sums may deviate from 1 by up
     to 1e-6 before being repaired; without it any row whose sum is off
-    by more than 1e-9 is a hard error. Failures name the offending CSV
-    file line, or the row index of a JSON dump.
+    by more than 1e-9 is a hard error. Failures start with ``path`` and
+    name the offending CSV file line, or the row index of a JSON dump.
     """
     fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        probs, labels, lines = _read_csv(path)
-    elif fmt == "json":
-        probs, labels = _read_json(path)
-        lines = None
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown dump format {fmt!r}")
 
     tolerance = SUM_TOLERANCE if renormalize else STRICT_SUM_TOLERANCE
+    lines = None
     try:
+        if fmt == "csv":
+            probs, labels, lines = _read_csv(path)
+        else:
+            probs, labels = _read_json(path)
         return PredictionSet(probs, labels, tolerance=tolerance)
     except NotOnSimplexError as exc:
-        if lines is None:
-            raise
-        raise NotOnSimplexError(exc.row, exc.detail, f"line {lines[exc.row]}") from None
+        where = f"row {exc.row}" if lines is None else f"line {lines[exc.row]}"
+        raise NotOnSimplexError(exc.row, exc.detail, f"{path}: {where}") from None
+    except AtckitError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_csv(path):

@@ -97,6 +97,50 @@ def js_divergence_reference(p, base_k):
     return total
 
 
+def _rel_entr_reference(x, y):
+    """x * log(x / y) with scipy.special.rel_entr's branches, for x >= 0 and y > 0.
+
+    log1p((x - y) / y) where 0.5 < x / y < 2, log(x / y) elsewhere, and 0
+    where x = 0.
+    """
+    if x == 0.0:
+        return 0.0
+    ratio = x / y
+    if 0.5 < ratio < 2.0:
+        return x * math.log1p((x - y) / y)
+    return x * math.log(ratio)
+
+
+def neg_entropy_reference(p):
+    """Negative entropy sum p_i log p_i with ``math.log`` and an exact ``math.fsum``.
+
+    Returns (value, scale); scale is the sum of the terms' magnitudes,
+    which bounds the rounding error of any summation order.
+    """
+    terms = [pi * math.log(pi) for pi in p if pi > 0.0]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def js_to_uniform_reference(p):
+    """Jensen-Shannon divergence to uniform, ``math.log``/``math.log1p`` per component.
+
+    The i-th term is (rel_entr(p_i, m_i) + rel_entr(1/k, m_i)) / 2 at the
+    midpoint m_i = (p_i + 1/k) / 2, and the terms are summed exactly by
+    ``math.fsum``. Returns (value, scale); scale is the sum of the two
+    relative entropies' magnitudes over two. Near the uniform vector the
+    pair cancels within each term, so scale, not the value, is what the
+    rounding of the logs is relative to.
+    """
+    u = 1.0 / len(p)
+    terms, parts = [], []
+    for pi in p:
+        m = 0.5 * (pi + u)
+        a, b = _rel_entr_reference(pi, m), _rel_entr_reference(u, m)
+        terms.append(0.5 * (a + b))
+        parts.append(0.5 * (abs(a) + abs(b)))
+    return math.fsum(terms), math.fsum(parts)
+
+
 def dense_first_violation(va, vb, eps):
     """First pair i < j, in row-major order, that two score vectors order differently.
 

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import atckit
 from atckit import GeneratorSpec, Shift, generate, load_dump, make_shift_pair, write_dump
 from atckit.cli import main
 
@@ -119,6 +122,24 @@ class TestEstimate:
         code = main(["estimate", "--source", str(src), "--target", str(src)])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["--source", "--target"])
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("p0,p1,label\n0.9,0.1,0\n0.7,0.7,1\n", "line 3: components sum to 1.4, "),
+            ("", "empty file\n"),
+        ],
+        ids=["bad-row", "empty"],
+    )
+    def test_bad_dump_named_by_path(self, tmp_path, capsys, side, text, reason):
+        good, _ = _write_pair(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        paths = {"--source": good, "--target": good, side: bad}
+        argv = ["estimate", *(x for flag, path in paths.items() for x in (flag, str(path)))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {reason}")
 
 
 class TestBenchmark:
@@ -330,7 +351,7 @@ class TestBadFlagValues:
         dump = tmp_path / "bad.json"
         dump.write_text('{"probs": [[0.9, 0.1], [0.5, 0.5]], "labels": [0, 5]}')
         assert main(["estimate", "--source", str(dump), "--target", str(dump)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {dump}: labels must lie in [0, 2)")
 
 
 class TestEntryPoint:
@@ -351,3 +372,20 @@ class TestEntryPoint:
         )
         assert bad.returncode == 2
         assert "error:" in bad.stderr
+
+    def test_cli_import_does_not_load_scipy(self):
+        # the kernels are plain numpy: importing scipy.special would cost
+        # more than numpy itself at every CLI start
+        code = (
+            "import atckit.cli, sys; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        )
+        src = str(Path(atckit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

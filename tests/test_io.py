@@ -1,5 +1,7 @@
 """Dump serialization: round trips and row-level diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from atckit import (
 )
 
 
-#: (file name, contents, where the bad row is named): CSV diagnostics name
-#: the file line, JSON ones the row index.
+#: (file name, contents, where the bad row is named): diagnostics start
+#: with the path, then name the file line of a CSV or the row index of a JSON.
 BAD_ROWS = [
     ("far.csv", "p0,p1\n0.5,0.5\n0.5,0.6\n", "line 3"),
     ("blanks.csv", "p0,p1\n\n0.5,0.5\n\n0.5,0.5\n0.5,0.6\n", "line 6"),
@@ -82,7 +84,7 @@ class TestParsing:
         for name, text, where in BAD_ROWS:
             path = tmp_path / name
             path.write_text(text)
-            with pytest.raises(NotOnSimplexError, match=f"^{where}: "):
+            with pytest.raises(NotOnSimplexError, match=f"^{re.escape(str(path))}: {where}: "):
                 load_dump(path)
 
     def test_clamped_negatives_accepted_like_prediction_set(self, tmp_path):
@@ -139,6 +141,21 @@ class TestParsing:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ParseError):
+            load_dump(path)
+
+    @pytest.mark.parametrize(
+        "name, text, reason",
+        [
+            ("empty.csv", "", "empty file"),
+            ("ragged.csv", "p0,p1\n0.5,0.5\n0.5\n", "line 3: expected 2 fields, got 1"),
+            ("bad.json", "{", "invalid JSON"),
+        ],
+        ids=["empty", "ragged", "bad-json"],
+    )
+    def test_parse_errors_start_with_the_path(self, tmp_path, name, text, reason):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {reason}')}"):
             load_dump(path)
 
     def test_header_only(self, tmp_path):
