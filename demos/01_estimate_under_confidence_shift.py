@@ -51,9 +51,10 @@ print(f"below-threshold fraction achieved on validation: "
 # Uncertainty via bootstrap: resample the validation set and look at the
 # spread of the resulting estimates (the same resamples `atckit estimate
 # --boot 200 --seed 0` and the benchmark harness use).
-from atckit.harness import bootstrap_estimates, summarize
+from atckit.harness import bootstrap_estimates, score_once, summarize
 
-runs = bootstrap_estimates(validation, deployment, ["max"], n_boot=200, master_seed=0)
+estimate = score_once(validation, deployment, ["max"])
+runs = bootstrap_estimates(estimate, validation, n_boot=200, master_seed=0)
 mean, lo, hi = summarize([value.accuracy for value in runs["max"]])
 print()
 print(f"atc-max bootstrap: mean {mean:.2%}, 95% interval [{lo:.2%}, {hi:.2%}]")

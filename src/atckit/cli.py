@@ -29,11 +29,11 @@ from .harness import (
     aggregate,
     bootstrap_estimates,
     derive_seed,
-    estimate_metric,
     format_aggregate_table,
     pairwise_difference_report,
     rank_methods,
     run_benchmark_suite,
+    score_once,
     summarize,
     write_aggregate_csv,
     write_runs_csv,
@@ -66,7 +66,10 @@ def _add_estimate_parser(subparsers) -> None:
     p.add_argument("--boot", type=int, default=0, help="bootstrap resamples (0 = none)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--calibration-sets", type=int, default=DOC_REG_CALIBRATION_SETS)
-    p.add_argument("--strict-sums", action="store_true", help="disable renormalization")
+    p.add_argument(
+        "--strict-sums", action="store_true",
+        help="sum tolerance 1e-9, not 1e-6; rows within it are still clamped and renormalized",
+    )
     p.set_defaults(func=_cmd_estimate)
 
 
@@ -82,10 +85,10 @@ def _cmd_estimate(args) -> int:
     else:
         methods = (args.method,)
 
-    boot = bootstrap_estimates(source, target, methods, args.boot, args.seed, args.calibration_sets)
-    for method in methods:
+    estimate = score_once(source, target, methods, args.calibration_sets)
+    boot = bootstrap_estimates(estimate, source, args.boot, args.seed)
+    for method, point in estimate(slice(None), args.seed).items():
         label = f"atc-{method}" if method in SCORE_IDS else method
-        point = estimate_metric(method, source, target, args.seed, args.calibration_sets)
         line = f"{label:<10} {_pct(point.converted(convention).value)}"
         if args.boot > 0:
             mean, lo, hi = summarize([v.converted(convention).value for v in boot[method]])

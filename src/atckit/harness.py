@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atc import atc_estimate, estimate_target, learn_threshold
-from .doc import bootstrap_calibration, check_calibration, doc_accuracy, doc_estimate
+from .atc import estimate_target, learn_threshold
+from .doc import check_calibration, doc_accuracy
 from .errors import EmptyInputError, InvalidArgumentError
 from .scores import SCORE_IDS, ScoreFunction, score_batch
 from .simplex import (
@@ -34,6 +34,7 @@ from .simplex import (
     MetricValue,
     PredictionSet,
     check_estimation_pair,
+    check_seed,
     resample_indices,
     true_accuracy,
 )
@@ -43,6 +44,9 @@ CANONICAL_METHODS = SCORE_IDS + ("doc", "doc-reg")
 
 #: Resamples used to fit the regression baseline within each run.
 DOC_REG_CALIBRATION_SETS = 10
+
+#: Decimal places a mean error is rounded to before methods are ranked.
+RANK_DECIMALS = 10
 
 
 @dataclass(frozen=True)
@@ -110,63 +114,30 @@ def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     return data.subset(idx)
 
 
-def estimate_metric(
-    method: str,
-    source: PredictionSet,
-    target: PredictionSet,
-    seed,
-    calibration_sets: int = DOC_REG_CALIBRATION_SETS,
-) -> MetricValue:
-    """Target metric estimated by one of :data:`CANONICAL_METHODS`.
-
-    ``seed`` only matters for ``doc-reg``, whose ``calibration_sets``
-    resamples of ``source`` are drawn from ``[seed, 1]``.
-    """
-    if method in SCORE_IDS:
-        return atc_estimate(source, target, ScoreFunction(method)).target_value
-    if method == "doc":
-        return doc_estimate(source, target)
-    if method == "doc-reg":
-        calibration = bootstrap_calibration(source, calibration_sets, seed=[seed, 1])
-        return doc_estimate(source, target, calibration)
-    raise InvalidArgumentError(f"unknown method {method!r}")
-
-
-def bootstrap_estimates(
+def score_once(
     source: PredictionSet,
     target: PredictionSet,
     methods,
-    n_boot: int,
-    master_seed,
     calibration_sets: int = DOC_REG_CALIBRATION_SETS,
-) -> dict:
-    """``{method: [MetricValue per run]}`` over ``n_boot`` resamples of ``source``.
+):
+    """Check the inputs, score both sets once per distinct score function.
 
-    Run ``i`` resamples with ``derive_seed(master_seed, source.k, i)``
-    and every method in the run gets that seed (``doc-reg`` draws its
-    calibration sets from it), so methods are compared on identical
-    resamples and order-equivalent scores give equal per-run estimates.
-    ``n_boot`` 0 gives empty lists.
-
-    Each run's estimate equals ``estimate_metric(method,
-    bootstrap_resample(source, seed), target, seed, calibration_sets)``
-    bit for bit, and an input error is raised as that call raises it.
-    But no resample is built: both sets are scored once per distinct
-    score function, and a run only draws an index vector into those
-    scores (every score works row by row).
+    Returns ``estimate(idx, seed) -> {method: MetricValue}``: each
+    method's target estimate with ``source.subset(idx)`` as the source
+    (``idx = slice(None)`` is the whole set), equal bit for bit to
+    ``atc_estimate`` or ``doc_estimate`` on that subset. ``doc-reg``
+    draws its ``calibration_sets`` resamples of it from ``[seed, 1]``,
+    as ``bootstrap_calibration`` does. Every score works row by row, so
+    the subset's scores are ``scores[idx]`` and no subset is built.
     """
-    if n_boot < 0:
-        raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")
-    estimates = {method: [] for method in methods}
-    if n_boot == 0:
-        return estimates
-    for method in methods:  # the errors estimate_metric raises before it reads a row
+    for method in methods:  # the errors raised before any row is read
         if method not in CANONICAL_METHODS:
             raise InvalidArgumentError(f"unknown method {method!r}")
         if method == "doc-reg":
             check_calibration(source, calibration_sets)
         check_estimation_pair(source, target, "ATC" if method in SCORE_IDS else "DoC")
 
+    methods = tuple(dict.fromkeys(methods))
     kernels = dict.fromkeys(ScoreFunction(m if m in SCORE_IDS else "max") for m in methods)
     scored = {fn: (score_batch(source, fn), score_batch(target, fn)) for fn in kernels}
     correct = source.predicted_labels == source.labels
@@ -174,28 +145,48 @@ def bootstrap_estimates(
         source_max, target_max = scored[ScoreFunction.MAX_CONF]
         target_conf = float(np.mean(target_max))
 
-    n = len(source)
-    for run_index in range(n_boot):
-        seed = derive_seed(master_seed, source.k, run_index)
-        (idx,) = resample_indices(n, seed)
+    def estimate(idx, seed) -> dict:
         hits = correct[idx]
         accuracy = float(np.mean(hits))
         gamma = MetricValue(accuracy, Convention.ACCURACY)
-        for method, values in estimates.items():
+        values = {}
+        for method in methods:
             if method in SCORE_IDS:
                 source_scores, target_scores = scored[ScoreFunction(method)]
                 model = learn_threshold(source_scores[idx], gamma)
-                values.append(estimate_target(model, target_scores))
+                values[method] = estimate_target(model, target_scores)
                 continue
             conf = source_max[idx]
             calibration = None
             if method == "doc-reg":
+                check_seed([seed, 1])
                 calibration = [
                     (np.mean(conf[j]), np.mean(hits[j]))
-                    for j in resample_indices(n, [seed, 1], calibration_sets)
+                    for j in resample_indices(len(source), [seed, 1], calibration_sets)
                 ]
-            values.append(doc_accuracy(accuracy, float(np.mean(conf)), target_conf, calibration))
-    return estimates
+            values[method] = doc_accuracy(accuracy, float(np.mean(conf)), target_conf, calibration)
+        return values
+
+    return estimate
+
+
+def bootstrap_estimates(estimate, source: PredictionSet, n_boot: int, master_seed) -> dict:
+    """``{method: [MetricValue per run]}``: ``estimate`` on ``n_boot`` resamples of ``source``.
+
+    ``estimate`` comes from :func:`score_once`. Run ``i`` passes it the
+    seed ``derive_seed(master_seed, source.k, i)`` and the index vector
+    drawn from that seed, so methods are compared on identical resamples
+    and order-equivalent scores give equal per-run estimates.
+    """
+    if n_boot < 0:
+        raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")
+    runs: dict = {}
+    for run_index in range(n_boot):
+        seed = derive_seed(master_seed, source.k, run_index)
+        (idx,) = resample_indices(len(source), seed)
+        for method, value in estimate(idx, seed).items():
+            runs.setdefault(method, []).append(value)
+    return runs
 
 
 def run_benchmark(source_val: PredictionSet, test: PredictionSet, config: BenchmarkConfig) -> dict:
@@ -206,7 +197,8 @@ def run_benchmark(source_val: PredictionSet, test: PredictionSet, config: Benchm
     estimates are scored against.
     """
     true_acc = true_accuracy(test).accuracy
-    runs = bootstrap_estimates(source_val, test, config.methods, config.n_boot, config.master_seed)
+    estimate = score_once(source_val, test, config.methods)
+    runs = bootstrap_estimates(estimate, source_val, config.n_boot, config.master_seed)
     return {
         (test.k, method): np.array([abs(true_acc - value.accuracy) for value in values])
         for method, values in runs.items()
@@ -245,13 +237,13 @@ def aggregate(table, ci_level: float = 0.95) -> list[AggregateRow]:
     ]
 
 
-def rank_methods(rows, exclude_binary: bool = False, decimals: int = 10) -> dict:
+def rank_methods(rows, exclude_binary: bool = False) -> dict:
     """Tie-aware win counts: every method hitting a dimension's lowest mean wins.
 
-    Means are rounded to ``decimals`` places before comparison so that
-    float noise does not split genuine ties. With ``exclude_binary`` the
-    2-class dimension is left out of the contest (there all
-    order-equivalent score functions tie by construction). Tied winners
+    Means are rounded to :data:`RANK_DECIMALS` places before comparison
+    so that float noise does not split genuine ties. With
+    ``exclude_binary`` the 2-class dimension is left out of the contest
+    (there all order-equivalent score functions tie by construction). Tied winners
     each score a win, so counts may sum to more than the number of
     dimensions ranked.
     """
@@ -264,7 +256,7 @@ def rank_methods(rows, exclude_binary: bool = False, decimals: int = 10) -> dict
     for dim_rows in by_dim.values():
         for r in dim_rows:
             wins.setdefault(r.method, 0)
-        rounded = [round(r.mean_abs_error, decimals) for r in dim_rows]
+        rounded = [round(r.mean_abs_error, RANK_DECIMALS) for r in dim_rows]
         best = min(rounded)
         for r, m in zip(dim_rows, rounded):
             if m == best:

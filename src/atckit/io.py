@@ -18,19 +18,17 @@ import numpy as np
 from .errors import AtckitError, NotOnSimplexError, ParseError
 from .simplex import SUM_TOLERANCE, PredictionSet
 
-#: Sum tolerance applied when renormalization is disabled.
+#: Sum tolerance of ``load_dump(renormalize=False)`` (``--strict-sums``).
 STRICT_SUM_TOLERANCE = 1e-9
 
 
-def _infer_format(path, fmt: str | None) -> str:
-    if fmt is not None:
-        return fmt
+def _format_of(path) -> str:
     return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
 def write_dump(data: PredictionSet, path, fmt: str | None = None) -> None:
-    """Serialize a prediction set to ``path`` as CSV (default) or JSON."""
-    fmt = _infer_format(path, fmt)
+    """Serialize a prediction set to ``path`` as CSV or JSON (by default, by extension)."""
+    fmt = _format_of(path) if fmt is None else fmt
     if fmt == "csv":
         _write_csv(data, path)
     elif fmt == "json":
@@ -41,48 +39,50 @@ def write_dump(data: PredictionSet, path, fmt: str | None = None) -> None:
 
 def _write_csv(data: PredictionSet, path) -> None:
     header = [f"p{i}" for i in range(data.k)]
+    row_format = ",".join(["%.12g"] * data.k)
     if data.labels is not None:
         header.append("label")
+        row_format += ",%d"
+    row_format += "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(data)):
-            row = [format(x, ".12g") for x in data.probs[i]]
-            if data.labels is not None:
-                row.append(int(data.labels[i]))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        if data.labels is None:
+            for row in data.probs:
+                fh.write(row_format % tuple(row.tolist()))
+        else:
+            for row, label in zip(data.probs, data.labels.tolist()):
+                fh.write(row_format % (*row.tolist(), label))
 
 
 def _write_json(data: PredictionSet, path) -> None:
     payload = {
-        "probs": [[float(x) for x in row] for row in data.probs],
-        "labels": None if data.labels is None else [int(x) for x in data.labels],
+        "probs": data.probs.tolist(),
+        "labels": None if data.labels is None else data.labels.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
-def load_dump(path, renormalize: bool = True, fmt: str | None = None) -> PredictionSet:
-    """Parse and validate a prediction dump.
+def load_dump(path, renormalize: bool = True) -> PredictionSet:
+    """Parse and validate a UTF-8 prediction dump: CSV, or JSON by extension.
 
-    With ``renormalize`` (the default) row sums may deviate from 1 by up
-    to 1e-6 before being repaired; without it any row whose sum is off
-    by more than 1e-9 is a hard error. Failures start with ``path`` and
+    The tolerance is 1e-6 with ``renormalize`` (the default) and 1e-9
+    without it. Either way, components in [-tolerance, 0) are clamped
+    to zero, a row whose sum is further than it from 1 is rejected, and
+    every other row is renormalized. Failures start with ``path`` and
     name the offending CSV file line, or the row index of a JSON dump.
     """
-    fmt = _infer_format(path, fmt)
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown dump format {fmt!r}")
-
     tolerance = SUM_TOLERANCE if renormalize else STRICT_SUM_TOLERANCE
     lines = None
     try:
-        if fmt == "csv":
+        if _format_of(path) == "csv":
             probs, labels, lines = _read_csv(path)
         else:
             probs, labels = _read_json(path)
         return PredictionSet(probs, labels, tolerance=tolerance)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except NotOnSimplexError as exc:
         where = f"row {exc.row}" if lines is None else f"line {lines[exc.row]}"
         raise NotOnSimplexError(exc.row, exc.detail, f"{path}: {where}") from None
@@ -91,7 +91,7 @@ def load_dump(path, renormalize: bool = True, fmt: str | None = None) -> Predict
 
 
 def _read_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -140,7 +140,7 @@ def _parse_header(header) -> tuple[int, bool]:
 
 
 def _read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -154,6 +154,9 @@ def _read_json(path):
     for i, row in enumerate(probs):
         if not isinstance(row, list) or len(row) != width:
             raise ParseError(f"row {i}: ragged or non-list probability row")
+        if not set(map(type, row)) <= {int, float}:  # a bool's type is not int
+            bad = next(x for x in row if type(x) not in (int, float))
+            raise ParseError(f"row {i}: probability {bad!r} is not a number")
     labels = payload.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(probs):
@@ -164,6 +167,6 @@ def _read_json(path):
         labels = np.asarray(labels)
     try:
         matrix = np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"non-numeric probability value: {exc}") from None
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"probability out of range: {exc}") from None
     return matrix, labels

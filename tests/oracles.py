@@ -161,3 +161,18 @@ def dense_first_violation(va, vb, eps):
     if hits.size == 0:
         return None
     return int(hits[0, 0]), int(hits[0, 1])
+
+
+def csv_dump_text(probs, labels):
+    """A dump's CSV text, built one element at a time with ``format(x, ".12g")``."""
+    k = len(probs[0])
+    header = [f"p{i}" for i in range(k)]
+    if labels is not None:
+        header.append("label")
+    lines = [",".join(header)]
+    for i, row in enumerate(probs):
+        fields = [format(float(x), ".12g") for x in row]
+        if labels is not None:
+            fields.append(str(int(labels[i])))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"

@@ -13,6 +13,8 @@ import atckit
 from atckit import GeneratorSpec, Shift, generate, load_dump, make_shift_pair, write_dump
 from atckit.cli import main
 
+from test_io import UNREADABLE
+
 
 def _write_pair(tmp_path, k=2, n=150, seed=0, temperature=1.3):
     spec = GeneratorSpec(
@@ -87,7 +89,8 @@ class TestEstimate:
     def test_bootstrap_uses_the_benchmark_run_seeds(self, tmp_path, capsys):
         # run i resamples with derive_seed(seed, k, i), and doc-reg calibrates
         # from that same run seed, exactly as in the benchmark harness
-        from atckit.harness import bootstrap_resample, derive_seed, estimate_metric, summarize
+        from atckit.harness import bootstrap_resample, derive_seed, summarize
+        from per_set_reference import estimate_metric
 
         src, tgt = _write_pair(tmp_path, k=3, n=120)
         main(["estimate", "--source", str(src), "--target", str(tgt), "--method", "doc-reg",
@@ -140,6 +143,14 @@ class TestEstimate:
         argv = ["estimate", *(x for flag, path in paths.items() for x in (flag, str(path)))]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {reason}")
+
+    @pytest.mark.parametrize("name, content, reason", UNREADABLE, ids=[u[0] for u in UNREADABLE])
+    def test_unreadable_dump_is_input_error(self, tmp_path, capsys, name, content, reason):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        assert main(["estimate", "--source", str(bad), "--target", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {reason}") and err.count("\n") == 1
 
 
 class TestBenchmark:

@@ -1,6 +1,10 @@
 """Bootstrap harness: error tables, aggregation, ranking, pairwise report."""
 
+import contextlib
+import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,19 +20,24 @@ from atckit import (
     EmptyInputError,
     GeneratorSpec,
     InvalidArgumentError,
+    MetricValue,
     PredictionSet,
     Shift,
     aggregate,
     bootstrap_resample,
+    load_dump,
     make_shift_pair,
     pairwise_difference_report,
     rank_methods,
     run_benchmark,
     run_benchmark_suite,
+    write_dump,
 )
-from atckit.harness import CANONICAL_METHODS, bootstrap_estimates, derive_seed, estimate_metric
+from atckit.cli import main
+from atckit.harness import CANONICAL_METHODS, bootstrap_estimates, derive_seed, score_once
 
 from oracles import naive_mean, quantile_sorted_index
+from per_set_reference import estimate_metric
 
 
 def _small_pair(k=3, n=200, seed=0, temperature=1.3):
@@ -145,15 +154,22 @@ class TestRunBenchmark:
 
     def test_run_count_zero_gives_no_runs_and_negative_is_rejected(self):
         source, target = _small_pair(seed=13)
-        assert bootstrap_estimates(source, target, ("max", "doc"), 0, 0) == {"max": [], "doc": []}
+        estimate = score_once(source, target, ("max", "doc"))
+        assert bootstrap_estimates(estimate, source, 0, 0) == {}
         with pytest.raises(InvalidArgumentError):
-            bootstrap_estimates(source, target, ("max",), -1, 0)
+            bootstrap_estimates(estimate, source, -1, 0)
 
     def test_suite_rejects_duplicate_dimensions(self):
         pair = _small_pair(seed=12)
         config = BenchmarkConfig(methods=("max",), n_boot=1)
         with pytest.raises(ValueError):
             run_benchmark_suite([pair, pair], config)
+
+
+def _engine_runs(source, target, methods, n_boot, master_seed, calibration_sets=10):
+    """The score-once path: score both sets, then run the bootstrap loop over them."""
+    estimate = score_once(source, target, methods, calibration_sets)
+    return bootstrap_estimates(estimate, source, n_boot, master_seed)
 
 
 def _per_run_reference(source, target, methods, n_boot, master_seed, calibration_sets=10):
@@ -174,6 +190,34 @@ def _outcome(estimator, *args):
     except AtckitError as exc:
         return type(exc), str(exc)
     return {m: [(v.value.hex(), v.convention) for v in values] for m, values in runs.items()}
+
+
+def _engine_points(source, target, methods, seed):
+    return {m: [value] for m, value in score_once(source, target, methods)(slice(None), seed).items()}
+
+
+def _reference_points(source, target, methods, seed):
+    return {m: [estimate_metric(m, source, target, seed)] for m in methods}
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one ``atckit`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _printed(outcome):
+    """What ``atckit estimate`` prints for an :func:`_outcome` of point estimates."""
+    if isinstance(outcome, tuple):
+        return 2, "", f"error: {outcome[1]}\n"
+    lines = []
+    for method, ((value, convention),) in outcome.items():
+        accuracy = MetricValue(float.fromhex(value), convention).accuracy
+        label = f"atc-{method}" if method in SCORE_IDS else method
+        lines.append(f"{label:<10} {100.0 * accuracy:.2f}\n")
+    return 0, "".join(lines), ""
 
 
 @st.composite
@@ -199,7 +243,7 @@ class TestScoreOnceEngine:
         source, target = pair
         for method in CANONICAL_METHODS:
             args = (source, target, (method,), 3, master_seed)
-            assert _outcome(bootstrap_estimates, *args) == _outcome(_per_run_reference, *args)
+            assert _outcome(_engine_runs, *args) == _outcome(_per_run_reference, *args)
 
     @pytest.mark.parametrize("order", [CANONICAL_METHODS, CANONICAL_METHODS[::-1]], ids=["fwd", "rev"])
     @pytest.mark.parametrize(
@@ -219,7 +263,7 @@ class TestScoreOnceEngine:
         args = (source, target, order, 2, 0, calibration_sets)
         expected = _outcome(_per_run_reference, *args)
         assert isinstance(expected, tuple)
-        assert _outcome(bootstrap_estimates, *args) == expected
+        assert _outcome(_engine_runs, *args) == expected
 
     @staticmethod
     def _count_scoring(monkeypatch) -> list:
@@ -235,18 +279,48 @@ class TestScoreOnceEngine:
                 monkeypatch.setattr(module, "score_batch", counting)
         return calls
 
+    @given(_tied_pair(), st.integers(-3, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_point_estimates_equal_the_per_set_reference(self, pair, seed):
+        # the engine at idx = slice(None) bit for bit, and what `estimate` prints
+        with tempfile.TemporaryDirectory() as tmp:
+            src, tgt = Path(tmp) / "source.json", Path(tmp) / "target.json"
+            write_dump(pair[0], src)
+            write_dump(pair[1], tgt)
+            source, target = load_dump(src), load_dump(tgt)
+            for flags, methods in (([], SCORE_IDS), (["--method", "doc"], ("doc",)),
+                                   (["--method", "doc-reg"], ("doc-reg",))):
+                args = (source, target, methods, seed)
+                expected = _outcome(_reference_points, *args)
+                assert _outcome(_engine_points, *args) == expected
+                argv = ["estimate", "--source", str(src), "--target", str(tgt), "--seed", str(seed)]
+                assert _cli(*argv, *flags) == _printed(expected)
+
     @pytest.mark.parametrize("methods", [CANONICAL_METHODS, ("doc", "max"), ("doc-reg", "l2n")])
     def test_scores_each_set_once_per_score_function(self, monkeypatch, methods):
         source, target = _small_pair(n=100, seed=15)
         calls = self._count_scoring(monkeypatch)
-        counts = {}
+        estimate = score_once(source, target, methods)
+        kernels = {m if m in SCORE_IDS else "max" for m in methods}
+        assert len(calls) == 2 * len(kernels)
         for n_boot in (0, 5, 50):
             calls.clear()
-            bootstrap_estimates(source, target, methods, n_boot, 0)
-            counts[n_boot] = len(calls)
-        kernels = {m if m in SCORE_IDS else "max" for m in methods}
-        assert counts[0] == 0
-        assert counts[5] == counts[50] <= 2 * len(kernels)
+            bootstrap_estimates(estimate, source, n_boot, 0)
+            assert calls == [], n_boot  # the runs only index the scores
+
+    @pytest.mark.parametrize("flags, calls", [(["--score", "all"], 12), (["--method", "doc-reg"], 2)])
+    def test_cli_scores_each_set_once_per_score_function(self, monkeypatch, tmp_path, flags, calls):
+        # point estimates and bootstrap runs share one scoring of each set
+        source, target = _small_pair(n=100, seed=15)
+        src, tgt = tmp_path / "source.csv", tmp_path / "target.csv"
+        write_dump(source, src)
+        write_dump(target, tgt)
+        scored = self._count_scoring(monkeypatch)
+        for n_boot in (0, 5, 50):
+            scored.clear()
+            argv = ["estimate", "--source", str(src), "--target", str(tgt), *flags, "--boot", str(n_boot)]
+            assert _cli(*argv)[0] == 0
+            assert len(scored) == calls, n_boot
 
 
 class TestAggregate:

@@ -1,9 +1,14 @@
 """Dump serialization: round trips and row-level diagnostics."""
 
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atckit import (
     GeneratorSpec,
@@ -15,6 +20,8 @@ from atckit import (
     write_dump,
 )
 
+from oracles import csv_dump_text
+
 
 #: (file name, contents, where the bad row is named): diagnostics start
 #: with the path, then name the file line of a CSV or the row index of a JSON.
@@ -24,6 +31,42 @@ BAD_ROWS = [
     ("nan.csv", "p0,p1\n0.5,0.5\n0.5,0.5\nnan,0.5\n", "line 4"),
     ("far.json", '{"probs": [[0.5, 0.5], [0.5, 0.6]]}', "row 1"),
 ]
+
+
+#: (file name, contents, the error after the path) of dumps that are not
+#: UTF-8 or hold a probability that is not a JSON number.
+UNREADABLE = [
+    ("byte.csv", b"p0,p1,label\n0.5,0.5,0\n0.5,0.\xff5,1\n", "not UTF-8 text (byte 0xff)"),
+    ("byte.json", b'\xff{"probs": [[0.5, 0.5]]}', "not UTF-8 text (byte 0xff)"),
+    ("str.json", b'{"probs": [["0.5","0.5"],["0.25","0.75"]], "labels": [0,1]}',
+     "row 0: probability '0.5' is not a number"),
+    ("bool.json", b'{"probs": [[0.5,0.5],[true,false]], "labels": [0,1]}',
+     "row 1: probability True is not a number"),
+    ("null.json", b'{"probs": [[0.5,0.5],[0.5,null]]}', "row 1: probability None is not a number"),
+    ("huge.json", b'{"probs": [[1' + b"0" * 400 + b', 0.5]]}', "probability out of range"),
+]
+
+
+@st.composite
+def _dump_sets(draw):
+    """Labeled or unlabeled sets, k in [2, 50], with zeros, -0.0, subnormals and vertices."""
+    k = draw(st.integers(2, 50))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.full(k, draw(st.sampled_from([0.02, 1.0, 30.0]))), n)
+    special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    for row in rows:
+        kind = draw(st.sampled_from(["dirichlet", "vertex", "special"]))
+        if kind == "vertex":
+            row[:] = draw(st.sampled_from([0.0, -0.0]))
+            row[draw(st.integers(0, k - 1))] = 1.0
+        elif kind == "special":
+            keep, *cols = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=k, unique=True))
+            row[cols] = [draw(st.sampled_from(special)) for _ in cols]
+            row[keep] += 1.0
+            row /= row.sum()
+    labels = rng.integers(0, k, n) if draw(st.booleans()) else None
+    return PredictionSet(rows, labels)
 
 
 @pytest.fixture
@@ -56,6 +99,20 @@ class TestRoundTrip:
         path = tmp_path / "u.csv"
         write_dump(unlabeled, path)
         assert load_dump(path).labels is None
+
+    @given(_dump_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_writers_match_per_element_formatting(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, json_path = Path(tmp) / "d.csv", Path(tmp) / "d.json"
+            write_dump(data, csv_path)
+            write_dump(data, json_path)
+            assert csv_path.read_text() == csv_dump_text(data.probs, data.labels)
+            payload = {
+                "probs": [[float(x) for x in row] for row in data.probs],
+                "labels": None if data.labels is None else [int(x) for x in data.labels],
+            }
+            assert json_path.read_text() == json.dumps(payload) + "\n"
 
     def test_strict_mode_round_trips_own_output(self, sample):
         # 12 significant digits keep the sum within the strict 1e-9 window
@@ -157,6 +214,20 @@ class TestParsing:
         path.write_text(text)
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {reason}')}"):
             load_dump(path)
+
+    @pytest.mark.parametrize("name, content, reason", UNREADABLE, ids=[u[0] for u in UNREADABLE])
+    def test_undecodable_or_non_numeric_entry_is_a_parse_error(self, tmp_path, name, content, reason):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {reason}')}"):
+            load_dump(path)
+
+    def test_strict_sums_still_renormalize(self, tmp_path):
+        # --strict-sums tightens the tolerance; a row within it is still repaired
+        path = tmp_path / "near.csv"
+        path.write_text("p0,p1\n0.6000000004,0.4\n")
+        data = load_dump(path, renormalize=False)
+        assert data.probs.sum() == 1.0 and data.probs[0, 0] < 0.6000000004
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "hdr.csv"
