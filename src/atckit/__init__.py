@@ -13,7 +13,6 @@ from .errors import (
     AtckitError,
     DegenerateDesignError,
     DimensionError,
-    DimensionMismatchError,
     EmptyInputError,
     InsufficientCalibrationError,
     InvalidArgumentError,
@@ -73,7 +72,6 @@ __all__ = [
     "Convention",
     "DegenerateDesignError",
     "DimensionError",
-    "DimensionMismatchError",
     "EmptyInputError",
     "EquivalenceReport",
     "GeneratorSpec",

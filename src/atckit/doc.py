@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDesignError,
-    DimensionMismatchError,
+    DimensionError,
     InsufficientCalibrationError,
     InvalidArgumentError,
     MissingLabelsError,
@@ -116,7 +116,7 @@ def doc_estimate(
     if calibration is not None:
         for i, (data, _) in enumerate(calibration):
             if data.k != source.k:
-                raise DimensionMismatchError(
+                raise DimensionError(
                     f"source has k={source.k} classes but calibration set {i} has k={data.k}"
                 )
         summaries = [

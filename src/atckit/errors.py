@@ -6,7 +6,12 @@ class AtckitError(Exception):
 
 
 class DimensionError(AtckitError):
-    """A probability vector has fewer than two components."""
+    """An input has the wrong shape.
+
+    Either on its own (fewer than two classes, or not a matrix of row
+    vectors) or against another input whose shape must agree with it
+    (label count, class count, paired arrays).
+    """
 
 
 class InvalidArgumentError(AtckitError, ValueError):
@@ -31,10 +36,6 @@ class MissingLabelsError(AtckitError):
 
 class EmptyInputError(AtckitError):
     """An operation received an empty collection."""
-
-
-class DimensionMismatchError(AtckitError):
-    """Two inputs whose shapes must agree do not."""
 
 
 class InsufficientCalibrationError(AtckitError):

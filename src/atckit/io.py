@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AtckitError, NotOnSimplexError, ParseError
-from .simplex import SUM_TOLERANCE, PredictionSet
+from .simplex import SUM_TOLERANCE, PredictionSet, validate_matrix
 
 #: Sum tolerance of ``load_dump(renormalize=False)`` (``--strict-sums``).
 STRICT_SUM_TOLERANCE = 1e-9
@@ -80,7 +80,7 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
             probs, labels, lines = _read_csv(path)
         else:
             probs, labels = _read_json(path)
-        return PredictionSet(probs, labels, tolerance=tolerance)
+        return PredictionSet._trusted(validate_matrix(probs, tolerance), labels)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except NotOnSimplexError as exc:
@@ -91,7 +91,7 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
 
 
 def _read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -164,7 +164,7 @@ def _read_json(path):
         for i, label in enumerate(labels):
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ParseError(f"row {i}: label {label!r} is not an integer")
-        labels = np.asarray(labels)
+        labels = np.array(labels, dtype=object)  # any width: range-checked before the int64 cast
     try:
         matrix = np.asarray(probs, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range

@@ -20,7 +20,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import DimensionError, InvalidArgumentError
 from .scores import Scorer, score_batch
 from .simplex import check_seed
 
@@ -75,7 +75,7 @@ def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise DimensionMismatchError(f"p has shape {p.shape} but q has shape {q.shape}")
+        raise DimensionError(f"p has shape {p.shape} but q has shape {q.shape}")
     pts = np.vstack([p, q])
     va = score_batch(pts, fn_a)
     vb = score_batch(pts, fn_b)

@@ -126,9 +126,12 @@ _KERNELS: dict[ScoreFunction, Callable[[np.ndarray], np.ndarray]] = {
 class MonotoneTransform:
     """A strictly increasing rescaling of a base score function.
 
-    Restricted to a catalog whose members are strictly increasing on all
-    of R by construction (positive-slope affine maps and odd integer
-    powers), so no runtime monotonicity check is needed.
+    Restricted to a catalog of maps that are strictly increasing over the
+    reals: positive-slope affine maps and odd integer powers. In float64,
+    rounding can merge two distinct scores into one. The estimate equals
+    the base function's bit for bit when the transform maps the distinct
+    base scores of source and target together to distinct values, in the
+    same order. Nothing checks this at run time.
     """
 
     base: ScoreFunction

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    DimensionMismatchError,
     EmptyInputError,
     InvalidArgumentError,
     MissingLabelsError,
@@ -115,27 +114,43 @@ class PredictionSet:
 
     probs: np.ndarray
     labels: np.ndarray | None = None
-    tolerance: float = SUM_TOLERANCE
 
     def __post_init__(self):
-        probs = validate_matrix(self.probs, self.tolerance)
-        if probs.shape[0] == 0:
-            raise EmptyInputError("prediction set must be non-empty")
+        self._adopt(validate_matrix(self.probs), self.labels)
+
+    @classmethod
+    def _trusted(cls, probs: np.ndarray, labels=None) -> "PredictionSet":
+        """Build a set from rows that ``validate_matrix`` already returned.
+
+        Validating them again renormalizes and can move bits, so the rows
+        are kept as they are; the non-empty and label checks still run.
+        """
+        out = object.__new__(cls)
+        out._adopt(probs, labels)
+        return out
+
+    def _adopt(self, probs: np.ndarray, labels) -> None:
+        if probs.ndim != 2 or probs.shape[0] == 0:
+            raise EmptyInputError(f"a prediction set needs at least one row, got shape {probs.shape}")
+        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.size == 0:
-                # explicitly empty labels mean "unlabeled"
-                object.__setattr__(self, "labels", None)
-                return
-            if labels.shape != (probs.shape[0],):
-                raise DimensionMismatchError(
-                    f"{labels.size} labels for {probs.shape[0]} vectors"
-                )
-            if labels.min() < 0 or labels.max() >= probs.shape[1]:
-                raise InvalidArgumentError(f"labels must lie in [0, {probs.shape[1]})")
-            labels.setflags(write=False)
-            object.__setattr__(self, "labels", labels)
+        labels = None if labels is None else np.asarray(labels)
+        if labels is None or labels.size == 0:  # explicitly empty labels mean "unlabeled"
+            object.__setattr__(self, "labels", None)
+            return
+        n, k = probs.shape
+        if labels.shape != (n,):
+            raise DimensionError(f"{labels.size} labels for {n} vectors")
+        # floats and bools are rejected, not rounded; ints too wide for int64 come as objects
+        if labels.dtype.kind not in "iu" and not (
+            labels.dtype == object and all(type(x) is int for x in labels)
+        ):
+            raise InvalidArgumentError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= k:  # before the int64 cast can wrap
+            raise InvalidArgumentError(f"labels must lie in [0, {k})")
+        labels = labels.astype(np.int64, copy=False)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -151,24 +166,9 @@ class PredictionSet:
         return np.argmax(self.probs, axis=1)
 
     def subset(self, indices) -> "PredictionSet":
-        """New set from the given row indices (labels travel along).
-
-        Rows of a validated set are already exact simplex points, so the
-        result reuses them bit-for-bit instead of renormalizing again.
-        """
-        probs = self.probs[indices]
-        if probs.ndim != 2 or probs.shape[0] == 0:
-            raise EmptyInputError("subset must select at least one row")
-        probs.setflags(write=False)
-        labels = None
-        if self.labels is not None:
-            labels = self.labels[indices]
-            labels.setflags(write=False)
-        out = object.__new__(PredictionSet)
-        object.__setattr__(out, "probs", probs)
-        object.__setattr__(out, "labels", labels)
-        object.__setattr__(out, "tolerance", self.tolerance)
-        return out
+        """New set from the given row indices (labels travel along), bit for bit."""
+        labels = None if self.labels is None else self.labels[indices]
+        return PredictionSet._trusted(self.probs[indices], labels)
 
 
 def true_accuracy(data: PredictionSet) -> MetricValue:
@@ -202,6 +202,4 @@ def check_estimation_pair(source: PredictionSet, target: PredictionSet, estimato
     if source.labels is None:
         raise MissingLabelsError(f"{estimator} needs labels on the source set")
     if source.k != target.k:
-        raise DimensionMismatchError(
-            f"source has k={source.k} classes but target has k={target.k}"
-        )
+        raise DimensionError(f"source has k={source.k} classes but target has k={target.k}")

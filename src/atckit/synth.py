@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotOnSimplexError
 from .simplex import PredictionSet, check_seed, validate_matrix
 
 #: Rejection rounds before forcing the argmax deterministically.
@@ -65,10 +65,13 @@ class GeneratorSpec:
 def _label_prior(spec: GeneratorSpec) -> np.ndarray:
     if spec.shift is None or spec.shift.label_prior is None:
         return np.full(spec.k, 1.0 / spec.k)
-    prior = validate_matrix(spec.shift.label_prior)[0]
-    if prior.size != spec.k:
-        raise InvalidArgumentError(f"label prior has {prior.size} entries for k={spec.k}")
-    return prior
+    prior = spec.shift.label_prior
+    if len(prior) != spec.k:
+        raise InvalidArgumentError(f"label prior has {len(prior)} entries for k={spec.k}")
+    try:
+        return validate_matrix(prior)[0]
+    except NotOnSimplexError as exc:
+        raise InvalidArgumentError(f"label prior {prior}: {exc.detail}") from None
 
 
 def _force_argmax(probs: np.ndarray, designated: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atckit import (
-    DimensionMismatchError,
+    DimensionError,
     EmptyInputError,
     GeneratorSpec,
     MetricValue,
@@ -130,7 +130,7 @@ class TestAtcEstimate:
     def test_requires_matching_dimension(self):
         source = PredictionSet([[0.9, 0.1]], labels=[0])
         target = PredictionSet([[0.4, 0.3, 0.3]])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionError):
             atc_estimate(source, target, ScoreFunction.MAX_CONF)
 
     def test_self_consistency_quantization(self):
@@ -175,6 +175,19 @@ class TestAtcEstimate:
             base_mask = score_batch(target, base) < reference.model.threshold
             tr_mask = score_batch(target, transform) < transformed.model.threshold
             assert np.array_equal(base_mask, tr_mask)
+
+    def test_transform_that_merges_float64_scores_can_change_estimate(self):
+        # exactness needs distinct base scores to stay distinct: 1e3 + x
+        # rounds 0.5 and 0.5 + 1e-15 to one value, which moves the estimate
+        rows = [(0.5, 0.5), (0.5 + 1e-15, 0.5 - 1e-15), (0.9, 0.1), (0.6, 0.4)]
+        source = PredictionSet(rows, labels=[0, 1, 0, 0])
+        target = PredictionSet([rows[i] for i in (0, 1, 1, 1)])
+        merged = MonotoneTransform.affine(ScoreFunction.MAX_CONF, 1.0, 1e3)
+        base_scores = score_batch(source, ScoreFunction.MAX_CONF)
+        assert base_scores[0] != base_scores[1]
+        assert score_batch(source, merged)[0] == score_batch(source, merged)[1]
+        assert atc_estimate(source, target, ScoreFunction.MAX_CONF).accuracy == 0.75
+        assert atc_estimate(source, target, merged).accuracy == 1.0
 
     def test_deterministic_and_order_free(self):
         source, target = _pair(4, seed=2)

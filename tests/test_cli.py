@@ -364,6 +364,26 @@ class TestBadFlagValues:
         assert main(["estimate", "--source", str(dump), "--target", str(dump)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {dump}: labels must lie in [0, 2)")
 
+    @pytest.mark.parametrize("side", ["--source", "--target"])
+    def test_json_label_beyond_int64(self, tmp_path, capsys, side):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 1]}')
+        bad.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 99999999999999999999999]}')
+        paths = {"--source": good, "--target": good, side: bad}
+        assert main(["estimate", *(x for flag, path in paths.items() for x in (flag, str(path)))]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: labels must lie in [0, 2)\n"
+
+    @pytest.mark.parametrize(
+        "prior, reason",
+        [("0.5,0.5,nan", "non-finite component"), ("0.5,0.7,-0.2", "component below -1e-06 (-0.2)")],
+        ids=["nan", "negative"],
+    )
+    def test_bad_label_prior_named(self, tmp_path, capsys, prior, reason):
+        argv = ["generate", "--k", "3", "--n", "2", "--label-prior", prior, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: label prior (") and err.endswith(f"): {reason}\n")
+
 
 class TestEntryPoint:
     def test_module_invocation_and_exit_codes(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from atckit import (
     DegenerateDesignError,
-    DimensionMismatchError,
+    DimensionError,
     InsufficientCalibrationError,
     InvalidArgumentError,
     MissingLabelsError,
@@ -72,7 +72,7 @@ class TestNaiveEstimate:
 
     def test_target_dimension_mismatch(self):
         source = _constant_set([0.5, 0.5], 1, labels=[0])
-        with pytest.raises(DimensionMismatchError, match="target has k=3"):
+        with pytest.raises(DimensionError, match="target has k=3"):
             doc_estimate(source, _constant_set([0.4, 0.3, 0.3], 1))
 
 
@@ -142,7 +142,7 @@ class TestRegression:
             (_constant_set([0.8, 0.2], 10), 0.9),
             (_constant_set([0.8, 0.1, 0.1], 10), 0.7),
         ]
-        with pytest.raises(DimensionMismatchError, match="calibration set 1 has k=3"):
+        with pytest.raises(DimensionError, match="calibration set 1 has k=3"):
             doc_estimate(source, self._source(), calibration)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,5 +1,6 @@
 """Dump serialization: round trips and row-level diagnostics."""
 
+import dataclasses
 import json
 import re
 import tempfile
@@ -12,13 +13,17 @@ from hypothesis import strategies as st
 
 from atckit import (
     GeneratorSpec,
+    InvalidArgumentError,
     NotOnSimplexError,
     ParseError,
     PredictionSet,
     generate,
     load_dump,
+    validate_matrix,
     write_dump,
 )
+from atckit.io import STRICT_SUM_TOLERANCE
+from atckit.simplex import SUM_TOLERANCE
 
 from oracles import csv_dump_text
 
@@ -265,4 +270,44 @@ class TestJsonParsing:
         path = tmp_path / "x.json"
         path.write_text('{"probs": [[0.5, 0.5]], "labels": [0.5]}')
         with pytest.raises(ParseError):
+            load_dump(path)
+
+
+class TestTrustedPath:
+    """A dump's rows are validated once and kept bit for bit from there on."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("renormalize, tolerance", [(True, SUM_TOLERANCE), (False, STRICT_SUM_TOLERANCE)])
+    def test_load_validates_parsed_rows_exactly_once(self, tmp_path, fmt, renormalize, tolerance):
+        data = generate(GeneratorSpec(k=3, n=200, target_accuracy=0.8, seed=0))
+        path = tmp_path / f"d.{fmt}"
+        write_dump(data, path)
+        if fmt == "csv":
+            lines = path.read_text().splitlines()[1:]
+            parsed = np.array([[float(x) for x in line.split(",")[:3]] for line in lines])
+        else:
+            parsed = np.array(json.loads(path.read_text())["probs"])
+        once = validate_matrix(parsed, tolerance)
+        # a second validation would move bits, so the test can tell one from two
+        assert not np.array_equal(validate_matrix(once, tolerance), once)
+        loaded = load_dump(path, renormalize=renormalize)
+        assert loaded.probs.tobytes() == once.tobytes()
+        assert not loaded.probs.flags.writeable and not loaded.labels.flags.writeable
+
+    def test_fields_are_probs_and_labels(self):
+        assert [f.name for f in dataclasses.fields(PredictionSet)] == ["probs", "labels"]
+
+    def test_byte_order_mark_is_ignored(self, sample):
+        data, tmp = sample
+        plain, marked = tmp / "plain.csv", tmp / "bom.csv"
+        write_dump(data, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_dump(plain), load_dump(marked)
+        assert a.probs.tobytes() == b.probs.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+
+    def test_json_label_beyond_int64_is_out_of_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 99999999999999999999999]}')
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(f'{path}: labels must lie in [0, 2)')}"):
             load_dump(path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atckit import (
-    DimensionMismatchError,
+    DimensionError,
     GeneratorSpec,
     InvalidArgumentError,
     MonotoneTransform,
@@ -66,7 +66,7 @@ class TestCheckPair:
             assert check_pair(p, p, fn_a, fn_b)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionError):
             check_pair([0.5, 0.5], [0.3, 0.3, 0.4], ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM)
 
     def test_tolerance_turns_small_gaps_into_ties(self):

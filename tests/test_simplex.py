@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from atckit import (
     Convention,
     DimensionError,
-    DimensionMismatchError,
     EmptyInputError,
+    GeneratorSpec,
+    InvalidArgumentError,
     MetricValue,
     MissingLabelsError,
     NotOnSimplexError,
     PredictionSet,
+    generate,
     true_accuracy,
     validate_matrix,
 )
@@ -73,7 +75,7 @@ class TestPredictionSet:
             PredictionSet(np.zeros((0, 3)))
 
     def test_labels_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionError):
             PredictionSet([[0.5, 0.5], [0.1, 0.9]], labels=[0])
 
     def test_labels_out_of_range(self):
@@ -101,6 +103,35 @@ class TestPredictionSet:
         assert np.array_equal(sub.probs, data.probs[idx])
         assert np.array_equal(sub.labels, data.labels[idx])
         assert len(sub) == 50 and sub.k == 4
+
+    def test_subset_keeps_bits_that_revalidation_would_move(self):
+        data = generate(GeneratorSpec(k=10, n=200, target_accuracy=0.8, seed=0))
+        assert not np.array_equal(validate_matrix(data.probs), data.probs)
+        idx = np.random.default_rng(1).integers(0, 200, size=300)
+        sub = data.subset(idx)
+        assert sub.probs.tobytes() == data.probs[idx].tobytes()
+        assert np.array_equal(sub.labels, data.labels[idx])
+        assert not sub.probs.flags.writeable and not sub.labels.flags.writeable
+
+    @pytest.mark.parametrize("labels", [[0, 2**70], [0, 99999999999999999999999], [-(2**70), 0]])
+    def test_labels_beyond_int64_out_of_range(self, labels):
+        # not an OverflowError from the int64 cast
+        with pytest.raises(InvalidArgumentError, match=r"labels must lie in \[0, 2\)"):
+            PredictionSet([[0.6, 0.4], [0.3, 0.7]], labels=labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.9, 1.7], [0.0, 1.0], [True, False], np.array([0.0, 1.0]), np.array(["0", "1"])],
+        ids=["fractional", "integral-floats", "bools", "float-array", "strings"],
+    )
+    def test_non_integer_labels_rejected_not_rounded(self, labels):
+        with pytest.raises(InvalidArgumentError, match="labels must be integers"):
+            PredictionSet([[0.6, 0.4], [0.3, 0.7]], labels=labels)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, object])
+    def test_any_integer_dtype_accepted(self, dtype):
+        data = PredictionSet([[0.6, 0.4], [0.3, 0.7]], labels=np.array([1, 0], dtype=dtype))
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0]
 
 
 class TestTrueAccuracy:
