@@ -38,7 +38,6 @@ from .ordering import (
     EquivalenceReport,
     OrderingVerdict,
     OrderingWitness,
-    VerdictStatus,
     check_pair,
     search_counterexample,
     simplex_grid,
@@ -90,7 +89,6 @@ __all__ = [
     "ScoreFunction",
     "Shift",
     "ThresholdModel",
-    "VerdictStatus",
     "aggregate",
     "apply_temperature",
     "atc_estimate",

@@ -149,6 +149,8 @@ def _synthetic_pairs(args):
 
 
 def _cmd_benchmark(args) -> int:
+    if args.pairwise and len(set(args.methods)) < 2:
+        raise AtckitError("--pairwise needs at least two distinct --methods to compare")
     if args.synthetic:
         pairs = _synthetic_pairs(args)
     elif args.pair:
@@ -225,7 +227,7 @@ def _verdict_record(fn_a, fn_b, k, verdict) -> dict:
         "fn_a": fn_a.value,
         "fn_b": fn_b.value,
         "k": k,
-        "status": verdict.status.value,
+        "status": verdict.status,
         "pairs_checked": verdict.pairs_checked,
         "eps": verdict.equality_tolerance,
     }

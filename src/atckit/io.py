@@ -140,7 +140,7 @@ def _parse_header(header) -> tuple[int, bool]:
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -14,7 +14,6 @@ where a difference within the equality tolerance counts as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations, permutations
 from math import comb, isqrt
 
@@ -32,10 +31,9 @@ MAX_POINTS = 2000
 #: bounds its memory whatever the number of points.
 _BLOCK_ELEMENTS = 2**18
 
-
-class VerdictStatus(Enum):
-    CONSISTENT_ON_SAMPLE = "consistent-on-sample"
-    COUNTEREXAMPLE = "counterexample"
+#: The search grid's spacing is 1 / _GRID_UNITS; ``simplex_grid`` scales by 0.1,
+#: as dividing by 10 would move the bits of grid points (3 * 0.1 != 3 / 10).
+_GRID_UNITS = 10
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,20 @@ class OrderingWitness:
 
 @dataclass(frozen=True)
 class OrderingVerdict:
-    status: VerdictStatus
+    """A witness means a counterexample; no witness means consistent on the
+    ``pairs_checked`` pairs, and nothing beyond them."""
+
     pairs_checked: int
     equality_tolerance: float
     witness: OrderingWitness | None = None
 
-    def __post_init__(self):
-        if (self.status is VerdictStatus.COUNTEREXAMPLE) != (self.witness is not None):
-            raise ValueError("counterexample verdicts carry a witness; consistent ones do not")
-
     @property
     def consistent(self) -> bool:
-        return self.status is VerdictStatus.CONSISTENT_ON_SAMPLE
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "consistent-on-sample" if self.consistent else "counterexample"
 
 
 def _signs(delta: np.ndarray, eps: float) -> np.ndarray:
@@ -117,7 +117,7 @@ def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> 
     pairs = n * (n - 1) // 2
     hit = _first_violation(va, vb, eps)
     if hit is None:
-        return OrderingVerdict(VerdictStatus.CONSISTENT_ON_SAMPLE, pairs, eps)
+        return OrderingVerdict(pairs, eps)
     i, j = hit
     witness = OrderingWitness(
         p=points[i].copy(),
@@ -130,7 +130,7 @@ def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> 
     # a reported counterexample must survive an independent re-evaluation
     if check_pair(witness.p, witness.q, fn_a, fn_b, eps):
         raise AssertionError("violation did not reproduce on re-evaluation")
-    return OrderingVerdict(VerdictStatus.COUNTEREXAMPLE, pairs, eps, witness)
+    return OrderingVerdict(pairs, eps, witness)
 
 
 def sample_simplex(k: int, n_points: int, seed) -> np.ndarray:
@@ -150,17 +150,10 @@ def _compositions(total: int, parts: int):
         yield comp
 
 
-def simplex_grid(k: int, step: float = 0.1) -> np.ndarray:
-    """Deterministic coarse grid of simplex points with spacing ``step``.
-
-    Includes every vector whose components are multiples of ``step``
-    (e.g. step 0.1 covers hand-built counterexamples like (0.5, 0.2, 0.3)
-    and (0.5, 0.5, 0)).
-    """
-    total = round(1.0 / step)
-    if abs(total * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1 evenly")
-    return np.array(list(_compositions(total, k)), dtype=np.float64) * step
+def simplex_grid(k: int) -> np.ndarray:
+    """Every simplex point whose components are multiples of 0.1, hand-built
+    counterexamples like (0.5, 0.2, 0.3) and (0.5, 0.5, 0) among them."""
+    return np.array(list(_compositions(_GRID_UNITS, k)), dtype=np.float64) * 0.1
 
 
 def search_counterexample(
@@ -183,10 +176,10 @@ def search_counterexample(
     if budget < 1:
         raise InvalidArgumentError("budget must be at least 1")
     m = _pool_size(budget)
-    if comb(9 + k, k - 1) > m:  # the size of the 0.1 grid
+    if comb(_GRID_UNITS + k - 1, k - 1) > m:  # the size of the grid
         pool = sample_simplex(k, m, seed)
     else:
-        grid = simplex_grid(k, 0.1)
+        grid = simplex_grid(k)
         pool = np.vstack([grid, sample_simplex(k, m - grid.shape[0], seed)])
     return verify_on_points(pool, fn_a, fn_b, eps).witness
 
@@ -212,25 +205,6 @@ class EquivalenceReport:
     verdicts: dict  # (i, j) with i < j -> OrderingVerdict
     classes: tuple  # tuple of tuples of functions, partitioning the input
     transitivity_violations: tuple  # (i, j, l) index triples
-
-
-def _connected_components(n: int, adjacent) -> tuple:
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in range(n):
-                if not seen[v] and adjacent(u, v):
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 def verify_equivalence_relation(
@@ -288,8 +262,7 @@ def verify_equivalence_relation(
         verdict = verify_on_points(points, fns[i], fns[j], eps)
         if verdict.consistent and search_budget > 0:
             witness = search_counterexample(fns[i], fns[j], k, search_budget, search_seed, eps)
-            status = verdict.status if witness is None else VerdictStatus.COUNTEREXAMPLE
-            verdict = OrderingVerdict(status, verdict.pairs_checked + pool_pairs, eps, witness)
+            verdict = OrderingVerdict(verdict.pairs_checked + pool_pairs, eps, witness)
         verdicts[(i, j)] = verdict
         consistent[i, j] = consistent[j, i] = verdict.consistent
 
@@ -298,7 +271,11 @@ def verify_equivalence_relation(
         for a, b, c in permutations(range(n_fns), 3)
         if consistent[a, b] and consistent[b, c] and not consistent[a, c]
     )
-    comps = _connected_components(n_fns, lambda u, v: consistent[u, v])
+    reach = consistent.copy()  # transitive closure: row i becomes i's class
+    for m in range(n_fns):
+        reach |= reach[:, m, None] & reach[m]
+    # distinct rows in first-appearance order; index tuples, as scorers may not hash
+    comps = dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach)
     classes = tuple(tuple(fns[i] for i in comp) for comp in comps)
     return EquivalenceReport(verdicts=verdicts, classes=classes, transitivity_violations=violations)
 

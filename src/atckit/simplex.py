@@ -148,7 +148,7 @@ class PredictionSet:
             raise InvalidArgumentError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.min() < 0 or labels.max() >= k:  # before the int64 cast can wrap
             raise InvalidArgumentError(f"labels must lie in [0, {k})")
-        labels = labels.astype(np.int64, copy=False)
+        labels = labels.astype(np.int64)  # a private copy: the caller's array stays writeable
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 

@@ -163,6 +163,31 @@ def dense_first_violation(va, vb, eps):
     return int(hits[0, 0]), int(hits[0, 1])
 
 
+def bfs_components(adjacent):
+    """Connected components of a symmetric 0/1 matrix, by breadth-first search.
+
+    Components come in the order of their smallest member, each as a
+    sorted tuple of indices.
+    """
+    n = len(adjacent)
+    component_of = [None] * n
+    components = []
+    for start in range(n):
+        if component_of[start] is not None:
+            continue
+        component_of[start] = len(components)
+        members, queue = [start], [start]
+        while queue:
+            u = queue.pop(0)
+            for v in range(n):
+                if adjacent[u][v] and component_of[v] is None:
+                    component_of[v] = len(components)
+                    members.append(v)
+                    queue.append(v)
+        components.append(tuple(sorted(members)))
+    return tuple(components)
+
+
 def csv_dump_text(probs, labels):
     """A dump's CSV text, built one element at a time with ``format(x, ".12g")``."""
     k = len(probs[0])

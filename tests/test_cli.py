@@ -194,6 +194,19 @@ class TestBenchmark:
     def test_needs_some_input(self, capsys):
         assert main(["benchmark", "--boot", "5"]) == 2
 
+    @pytest.mark.parametrize("methods", [["max"], ["max", "max"]])
+    def test_pairwise_with_one_method_fails_before_any_work(self, tmp_path, capsys, methods):
+        out_dir = tmp_path / "o"
+        code = main(
+            ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--methods", *methods,
+             "--boot", "5", "--pairwise", "--out-dir", str(out_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--pairwise" in captured.err
+        assert not out_dir.exists()
+
     def test_pairwise_flag_prints_report(self, tmp_path, capsys):
         src, tgt = _write_pair(tmp_path, k=3, n=100)
         main(

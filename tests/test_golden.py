@@ -29,6 +29,8 @@ VERIFY = {
     "verify-k2.txt": ["verify", "--k", "2", *VERIFY_SETTINGS],
     "verify-k3.txt": ["verify", "--k", "3", *VERIFY_SETTINGS],
     "verify-k4-js-max.txt": ["verify", "--k", "4", "--pair", "js,max", *VERIFY_SETTINGS],
+    # the only golden of a full report above k = 3: six kernels, one non-trivial class
+    "verify-k6.txt": ["verify", "--k", "6", *VERIFY_SETTINGS],
     # two points cannot separate l2n from max, so the witness comes from the search pool
     "verify-k6-l2n-max.txt": [
         "verify", "--k", "6", "--pair", "l2n,max",

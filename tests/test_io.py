@@ -297,14 +297,15 @@ class TestTrustedPath:
     def test_fields_are_probs_and_labels(self):
         assert [f.name for f in dataclasses.fields(PredictionSet)] == ["probs", "labels"]
 
-    def test_byte_order_mark_is_ignored(self, sample):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_is_ignored(self, sample, fmt):
         data, tmp = sample
-        plain, marked = tmp / "plain.csv", tmp / "bom.csv"
+        plain, marked = tmp / f"plain.{fmt}", tmp / f"bom.{fmt}"
         write_dump(data, plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         a, b = load_dump(plain), load_dump(marked)
         assert a.probs.tobytes() == b.probs.tobytes()
-        assert np.array_equal(a.labels, b.labels)
+        assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_json_label_beyond_int64_is_out_of_range(self, tmp_path):
         path = tmp_path / "big.json"

@@ -1,12 +1,14 @@
 """Order-isomorphism verification and counterexample search."""
 
+import dataclasses
 import itertools
 import tracemalloc
+from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atckit import (
@@ -14,6 +16,8 @@ from atckit import (
     GeneratorSpec,
     InvalidArgumentError,
     MonotoneTransform,
+    OrderingVerdict,
+    OrderingWitness,
     ScoreFunction,
     Shift,
     atc_estimate,
@@ -27,9 +31,9 @@ from atckit import (
     verify_on_points,
 )
 from atckit import ordering
-from atckit.ordering import VerdictStatus, sample_simplex
+from atckit.ordering import sample_simplex
 
-from oracles import dense_first_violation
+from oracles import bfs_components, dense_first_violation
 
 ALL_FNS = tuple(ScoreFunction)
 ALL_PAIRS = list(itertools.combinations(ALL_FNS, 2))
@@ -112,11 +116,20 @@ class TestVerifyOnSample:
     def test_counterexample_witness_reproduces(self):
         points = np.array([[0.5, 0.2, 0.3], [0.5, 0.5, 0.0]])
         verdict = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
-        assert verdict.status is VerdictStatus.COUNTEREXAMPLE
+        assert verdict.status == "counterexample"
         w = verdict.witness
         assert (w.score_a_p, w.score_a_q) == (pytest.approx(0.38), pytest.approx(0.5))
         assert w.score_b_p == w.score_b_q == 0.5
         assert not check_pair(w.p, w.q, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
+
+    def test_verdict_is_its_witness(self):
+        points = np.array([[0.5, 0.2, 0.3], [0.5, 0.5, 0.0]])
+        found = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
+        assert (found.consistent, found.status) == (False, "counterexample")
+        cleared = dataclasses.replace(found, witness=None)
+        assert (cleared.consistent, cleared.status) == (True, "consistent-on-sample")
+        fields = [f.name for f in dataclasses.fields(OrderingVerdict)]
+        assert fields == ["pairs_checked", "equality_tolerance", "witness"]
 
 
 def _lookup(values):
@@ -158,12 +171,12 @@ class TestBlockedScanMatchesDenseOracle:
         assert verdict.pairs_checked == n * (n - 1) // 2
         assert verdict.equality_tolerance == eps
         if hit is None:
-            assert verdict.status is VerdictStatus.CONSISTENT_ON_SAMPLE
+            assert verdict.status == "consistent-on-sample"
             assert verdict.witness is None
             return
         i, j = hit
         w = verdict.witness
-        assert verdict.status is VerdictStatus.COUNTEREXAMPLE
+        assert verdict.status == "counterexample"
         assert (w.p.tolist(), w.q.tolist()) == ([i], [j])
         got = [_bits(x) for x in (w.score_a_p, w.score_a_q, w.score_b_p, w.score_b_q)]
         assert got == [_bits(x) for x in (va[i], va[j], vb[i], vb[j])]
@@ -204,11 +217,16 @@ class TestBlockedScanMatchesDenseOracle:
 
 class TestSearchCounterexample:
     def test_grid_contains_published_pair(self):
-        grid = simplex_grid(3, 0.1)
+        grid = simplex_grid(3)
         assert any(np.allclose(g, [0.5, 0.2, 0.3]) for g in grid)
         assert any(np.allclose(g, [0.5, 0.5, 0.0]) for g in grid)
         assert grid.shape == (66, 3)
         np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_grid_size_follows_its_spacing(self, k):
+        # search_counterexample sizes the grid by this formula before building it
+        assert simplex_grid(k).shape[0] == comb(ordering._GRID_UNITS + k - 1, k - 1)
 
     def test_finds_quadratic_vs_max_witness(self):
         witness = search_counterexample(
@@ -284,7 +302,7 @@ class TestEquivalenceRelation:
         )
         assert verdict.consistent
         sample, pool = seen
-        assert pool.shape[0] > simplex_grid(k, 0.1).shape[0]  # random points too
+        assert pool.shape[0] > simplex_grid(k).shape[0]  # random points too
         assert set(map(tuple, pool)).isdisjoint(map(tuple, sample))
 
     def test_seed_none_draws_one_fresh_pool_for_every_pair(self, monkeypatch):
@@ -308,6 +326,40 @@ class TestEquivalenceRelation:
         monkeypatch.setattr(ordering, "sample_simplex", no_sampling)
         with pytest.raises(ValueError, match="search pool of 2001 points"):
             verify_equivalence_relation(ALL_FNS, k=3, n_points=10, seed=0, search_budget=2_001_000)
+
+
+_WITNESS = OrderingWitness(np.zeros(2), np.ones(2), 0.0, 1.0, 1.0, 0.0)
+
+
+@st.composite
+def _relations(draw):
+    """(symmetric relation over m distinct functions, positions drawn from them with repeats)."""
+    m = draw(st.integers(1, 6))
+    related = [[True] * m for _ in range(m)]
+    for a, b in itertools.combinations(range(m), 2):
+        related[a][b] = related[b][a] = draw(st.booleans())
+    positions = draw(st.lists(st.integers(0, m - 1), max_size=8))
+    return related, positions
+
+
+class TestClassesMatchBfsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_relations())
+    # not transitive (0 ~ 1 ~ 2, 0 !~ 2), with function 0 at two positions
+    @example(case=([[True, True, False], [True, True, True], [False, True, True]], [0, 2, 1, 0]))
+    def test_classes_are_the_connected_components(self, case):
+        related, positions = case
+        scorers = [[i] for i in range(len(related))]  # lists: unhashable, as a user's scorer may be
+        fns = [scorers[i] for i in positions]
+
+        def judged(points, fn_a, fn_b, eps):
+            return OrderingVerdict(1, eps, None if related[fn_a[0]][fn_b[0]] else _WITNESS)
+
+        with mock.patch.object(ordering, "verify_on_points", judged):
+            report = verify_equivalence_relation(fns, k=2, n_points=2, seed=0)
+        adjacent = [[related[a][b] for b in positions] for a in positions]
+        expected = [[id(fns[i]) for i in comp] for comp in bfs_components(adjacent)]
+        assert [[id(fn) for fn in cls] for cls in report.classes] == expected
 
 
 class TestQuadraticConstantDifference:

@@ -91,6 +91,13 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             data.probs[0, 0] = 0.9
 
+    def test_callers_labels_stay_writeable(self):
+        labels = np.array([0, 1])
+        data = PredictionSet([[0.6, 0.4], [0.3, 0.7]], labels=labels)
+        assert labels.flags.writeable and not data.labels.flags.writeable
+        labels[0] = 1  # the set keeps its own copy
+        assert data.labels.tolist() == [0, 1]
+
     def test_predicted_labels_tie_breaks_low(self):
         data = PredictionSet([[0.5, 0.5], [0.2, 0.8]])
         assert data.predicted_labels.tolist() == [0, 1]
