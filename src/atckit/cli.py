@@ -280,8 +280,7 @@ def _add_generate_parser(subparsers) -> None:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--label-prior", help="comma-separated class prior, e.g. 0.5,0.3,0.2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--out", required=True, help="dump path: JSON if it ends in .json, else CSV")
     p.set_defaults(func=_cmd_generate)
 
 
@@ -301,7 +300,7 @@ def _cmd_generate(args) -> int:
         seed=args.seed,
     )
     data = generate(spec)
-    write_dump(data, args.out, fmt=args.format)
+    write_dump(data, args.out)
     print(f"wrote {args.out} ({args.n} rows, k={args.k})")
     return _EXIT_OK
 
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AtckitError, OSError) as exc:
+    except (AtckitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT_ERROR
 

@@ -26,15 +26,12 @@ def _format_of(path) -> str:
     return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
-def write_dump(data: PredictionSet, path, fmt: str | None = None) -> None:
-    """Serialize a prediction set to ``path`` as CSV or JSON (by default, by extension)."""
-    fmt = _format_of(path) if fmt is None else fmt
-    if fmt == "csv":
+def write_dump(data: PredictionSet, path) -> None:
+    """Serialize a prediction set to ``path``: JSON by extension, else CSV."""
+    if _format_of(path) == "csv":
         _write_csv(data, path)
-    elif fmt == "json":
-        _write_json(data, path)
     else:
-        raise ValueError(f"unknown dump format {fmt!r}")
+        _write_json(data, path)
 
 
 def _write_csv(data: PredictionSet, path) -> None:
@@ -93,13 +90,13 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
+        rows = _rows(reader)
+        header = next(rows, None)
+        if header is None:
+            raise ParseError("empty file")
         k, has_label = _parse_header([h.strip() for h in header])
         probs, labels, lines = [], [], []
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             lineno = reader.line_num
@@ -128,6 +125,14 @@ def _read_csv(path):
     return np.asarray(probs, dtype=np.float64), labels, np.asarray(lines)
 
 
+def _rows(reader):
+    """The reader's rows; a malformed one (a field over csv's size limit) is a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def _parse_header(header) -> tuple[int, bool]:
     has_label = bool(header) and header[-1] == "label"
     prob_cols = header[:-1] if has_label else header
@@ -143,7 +148,7 @@ def _read_json(path):
     with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "probs" not in payload:
         raise ParseError('JSON dump must be an object with a "probs" key')

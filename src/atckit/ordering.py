@@ -21,15 +21,11 @@ import numpy as np
 
 from .errors import DimensionError, InvalidArgumentError
 from .scores import Scorer, score_batch
-from .simplex import check_seed
+from .simplex import check_seed, check_shape
 
 #: Most points one check takes, for the sample and for a search pool; the
 #: check compares every pair, so this bounds its time.
 MAX_POINTS = 2000
-
-#: Most pairs one block of the check compares (rows x columns), which
-#: bounds its memory whatever the number of points.
-_BLOCK_ELEMENTS = 2**18
 
 #: The search grid's spacing is 1 / _GRID_UNITS; ``simplex_grid`` scales by 0.1,
 #: as dividing by 10 would move the bits of grid points (3 * 0.1 != 3 / 10).
@@ -85,21 +81,16 @@ def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
 def _first_violation(va: np.ndarray, vb: np.ndarray, eps: float):
     """First pair i < j, in row-major order, whose signs disagree, or None.
 
-    Scans the upper triangle in blocks of rows, each holding at most
-    ``_BLOCK_ELEMENTS`` pairs, and stops at the first block with a
-    disagreement. A NaN difference never equals a sign, so it disagrees.
+    Scans one row of the pair triangle at a time, so memory stays O(n),
+    and stops at the first row with a disagreement. A NaN difference
+    never equals a sign, so it disagrees.
     """
-    n = va.shape[0]
-    height = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    for top in range(0, n - 1, height):
-        rows = slice(top, min(top + height, n - 1))
-        cols = slice(top + 1, n)
-        signs_a = _signs(va[rows, None] - va[None, cols], eps)
-        disagree = signs_a != _signs(vb[rows, None] - vb[None, cols], eps)
-        hits = np.flatnonzero(np.triu(disagree))  # c >= r keeps column j > row i
-        if hits.size:
-            r, c = divmod(int(hits[0]), disagree.shape[1])
-            return top + r, top + 1 + c
+    v = np.stack([va, vb])
+    for i in range(v.shape[1] - 1):
+        signs = _signs(v[:, i, None] - v[:, i + 1 :], eps)
+        disagree = signs[0] != signs[1]
+        if disagree.any():
+            return i, i + 1 + int(disagree.argmax())
     return None
 
 
@@ -248,7 +239,8 @@ def verify_equivalence_relation(
     if not 0.0 <= eps < np.inf:  # also rejects NaN
         raise InvalidArgumentError(f"eps must be finite and non-negative, got {eps}")
     check_seed(seed)
-    pool_pairs = comb(_pool_size(search_budget), 2)  # rejects an oversized pool up front
+    pool = _pool_size(search_budget)  # rejects an oversized pool up front
+    check_shape(max(n_points, pool), k)
     fns = tuple(fns)
     n_fns = len(fns)
     if seed is None:  # one fresh draw, so every pair still searches the same pool
@@ -262,7 +254,7 @@ def verify_equivalence_relation(
         verdict = verify_on_points(points, fns[i], fns[j], eps)
         if verdict.consistent and search_budget > 0:
             witness = search_counterexample(fns[i], fns[j], k, search_budget, search_seed, eps)
-            verdict = OrderingVerdict(verdict.pairs_checked + pool_pairs, eps, witness)
+            verdict = OrderingVerdict(verdict.pairs_checked + comb(pool, 2), eps, witness)
         verdicts[(i, j)] = verdict
         consistent[i, j] = consistent[j, i] = verdict.consistent
 

@@ -197,6 +197,12 @@ def check_seed(seed) -> None:
         raise InvalidArgumentError(f"seed must not be negative, got {seed}")
 
 
+def check_shape(rows: int, k: int) -> None:
+    """Reject a (rows, k) float64 shape with more bytes than numpy can address."""
+    if rows * k * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {rows} x {k} float64 array exceeds the addressable size")
+
+
 def check_estimation_pair(source: PredictionSet, target: PredictionSet, estimator: str) -> None:
     """Raise unless ``source`` is labeled and ``target`` has its class count."""
     if source.labels is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, NotOnSimplexError
-from .simplex import PredictionSet, check_seed, validate_matrix
+from .simplex import PredictionSet, check_seed, check_shape, validate_matrix
 
 #: Rejection rounds before forcing the argmax deterministically.
 _MAX_REDRAWS = 1000
@@ -55,6 +55,7 @@ class GeneratorSpec:
             raise InvalidArgumentError("k must be at least 2")
         if self.n < 1:
             raise InvalidArgumentError("n must be at least 1")
+        check_shape(self.n, self.k)
         if not 0.0 < self.target_accuracy <= 1.0:
             raise InvalidArgumentError("target_accuracy must lie in (0, 1]")
         if not self.concentration > 0:
@@ -141,17 +142,13 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     return powered / powered.sum(axis=1, keepdims=True)
 
 
-def make_shift_pair(
-    spec: GeneratorSpec, shift: Shift | None = None
-) -> tuple[PredictionSet, PredictionSet]:
+def make_shift_pair(spec: GeneratorSpec) -> tuple[PredictionSet, PredictionSet]:
     """Independent (source, target) draw with the shift applied to the target.
 
     The source comes from ``spec`` with no shift; the target repeats the
-    recipe with ``shift`` (default: the spec's own) and independently
-    drawn labels. Both sets are labeled so benchmark ground truth exists.
+    recipe with the spec's shift and independently drawn labels. Both
+    sets are labeled so benchmark ground truth exists.
     """
-    if shift is None:
-        shift = spec.shift
     source = generate(replace(spec, shift=None), np.random.default_rng([spec.seed, 0]))
-    target = generate(replace(spec, shift=shift), np.random.default_rng([spec.seed, 1]))
+    target = generate(spec, np.random.default_rng([spec.seed, 1]))
     return source, target

@@ -149,8 +149,9 @@ class TestEstimate:
         bad = tmp_path / name
         bad.write_bytes(content)
         assert main(["estimate", "--source", str(bad), "--target", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: {reason}") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: {reason}") and captured.err.count("\n") == 1
 
 
 class TestBenchmark:
@@ -193,6 +194,16 @@ class TestBenchmark:
 
     def test_needs_some_input(self, capsys):
         assert main(["benchmark", "--boot", "5"]) == 2
+
+    def test_unlabeled_pair_named(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text("p0,p1,label\n0.9,0.1,0\n")
+        tgt.write_text("p0,p1\n0.9,0.1\n")
+        argv = ["benchmark", "--pair", str(src), str(tgt), "--boot", "5", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: benchmark pairs need labels on both sides ({src}, {tgt})\n"
 
     @pytest.mark.parametrize("methods", [["max"], ["max", "max"]])
     def test_pairwise_with_one_method_fails_before_any_work(self, tmp_path, capsys, methods):
@@ -285,8 +296,9 @@ class TestGenerate:
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "synth.json"
-        code = main(["generate", "--k", "3", "--n", "20", "--out", str(out), "--format", "json"])
+        code = main(["generate", "--k", "3", "--n", "20", "--out", str(out)])
         assert code == 0
+        assert out.read_text().startswith('{"probs": [[')
         assert load_dump(out).k == 3
 
     def test_label_prior_flag(self, tmp_path):
@@ -385,6 +397,38 @@ class TestBadFlagValues:
         paths = {"--source": good, "--target": good, side: bad}
         assert main(["estimate", *(x for flag, path in paths.items() for x in (flag, str(path)))]) == 2
         assert capsys.readouterr().err == f"error: {bad}: labels must lie in [0, 2)\n"
+
+    def test_unparsable_label_prior_named(self, tmp_path, capsys):
+        argv = ["generate", "--k", "2", "--n", "2", "--label-prior", "a,b", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --label-prior 'a,b'\n"
+
+    # numpy cannot allocate 10**17 rows or classes of float64 (711 PiB), and
+    # cannot even describe 10**19 of them (over the largest intp)
+    @pytest.mark.parametrize("size", [10**17, 10**19])
+    @pytest.mark.parametrize(
+        "argv, rows_x_k",
+        [
+            (["generate", "--k", "{}", "--n", "1"], "1 x {}"),
+            (["verify", "--k", "{}", "--points", "2", "--budget", "0"], "2 x {}"),
+            (["benchmark", "--synthetic", "--k", "3", "--n", "{}"], "{} x 3"),
+        ],
+        ids=["generate", "verify", "benchmark"],
+    )
+    def test_impossible_size_is_input_error(self, tmp_path, capsys, size, argv, rows_x_k):
+        outputs = {"benchmark": ["--out-dir", str(tmp_path / "o")], "generate": ["--out", str(tmp_path / "x")]}
+        argv = [a.format(size) for a in argv] + outputs.get(argv[0], [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        if size == 10**17:
+            assert captured.err.startswith("error: Unable to allocate 711. PiB for an array with shape")
+            assert captured.err.count("\n") == 1
+        else:
+            shape = rows_x_k.format(size)
+            assert captured.err == f"error: a {shape} float64 array exceeds the addressable size\n"
 
     @pytest.mark.parametrize(
         "prior, reason",

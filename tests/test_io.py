@@ -49,6 +49,11 @@ UNREADABLE = [
      "row 1: probability True is not a number"),
     ("null.json", b'{"probs": [[0.5,0.5],[0.5,null]]}', "row 1: probability None is not a number"),
     ("huge.json", b'{"probs": [[1' + b"0" * 400 + b', 0.5]]}', "probability out of range"),
+    ("empty.json", b'{"probs": []}', '"probs" must be a non-empty list of rows'),
+    ("deep.json", b"[" * 200_000,
+     "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"),
+    ("wide.csv", b"p0,p1,label\n0.5,0.5,0\n0.5," + b"0" * 140_000 + b"5,1\n",
+     "line 3: field larger than field limit (131072)"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Synthetic generator: exact accuracy control and shift behaviour."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestTemperature:
 class TestMakeShiftPair:
     def test_identity_shift_gives_same_law(self):
         spec = GeneratorSpec(k=3, n=500, target_accuracy=0.75, seed=9)
-        source, target = make_shift_pair(spec, Shift(temperature=1.0))
+        source, target = make_shift_pair(replace(spec, shift=Shift(temperature=1.0)))
         assert source.k == target.k == 3
         assert len(source) == len(target) == 500
         # independent draws, not copies
