@@ -5,12 +5,22 @@ optional trailing ``label`` column; a JSON alternative mirrors it as
 ``{"probs": [[...], ...], "labels": [...] | null}``. Probabilities are
 serialized at 12 significant digits, which keeps round-trip error per
 component below 1e-9, comfortably inside the ingestion tolerance.
+
+A CSV goes through numpy's parser first, in one ``np.loadtxt`` call, and
+through the line parser only when it needs diagnosing: on any failure
+the line parser reads the file again and names the offending line. The
+line parser defines what a dump may hold. numpy's path accepts a subset
+of that and gives the same bits, so the two accept the same files and
+give the same values.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import reprlib
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +30,10 @@ from .simplex import SUM_TOLERANCE, PredictionSet, validate_matrix
 
 #: Sum tolerance of ``load_dump(renormalize=False)`` (``--strict-sums``).
 STRICT_SUM_TOLERANCE = 1e-9
+
+#: ``warnings.catch_warnings`` saves and restores the process's filters, so
+#: two threads inside it at once can leave the "error" filter behind.
+_WARNINGS_LOCK = threading.Lock()
 
 
 def _format_of(path) -> str:
@@ -71,9 +85,12 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
     name the offending CSV file line, or the row index of a JSON dump.
     """
     tolerance = SUM_TOLERANCE if renormalize else STRICT_SUM_TOLERANCE
+    is_csv = _format_of(path) == "csv"
+    if is_csv and (fast := _load_csv_fast(path, tolerance)) is not None:
+        return fast
     lines = None
     try:
-        if _format_of(path) == "csv":
+        if is_csv:
             probs, labels, lines = _read_csv(path)
         else:
             probs, labels = _read_json(path)
@@ -87,14 +104,43 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _load_csv_fast(path, tolerance):
+    """The CSV dump as one ``np.loadtxt`` call reads it, or None to leave it to ``_read_csv``.
+
+    Whatever this accepts, ``_read_csv`` accepts with the same bits; any
+    doubt returns None. numpy has no quote character, so a quoted field
+    fails, and ``comments=None`` keeps ``#`` a bad number. Warnings are
+    errors: a file with no data rows warns, and numpy 1.x parses ``1.0``
+    as an int64 label with only a DeprecationWarning.
+    """
+    try:
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                k, has_label = _read_header(_rows(csv.reader(fh)))
+                columns = [("p", "f8", (k,))] + ([("label", "i8")] if has_label else [])
+                lines = _lines_within(fh, csv.field_size_limit())
+                table = np.loadtxt(lines, delimiter=",", comments=None, dtype=columns, ndmin=1)
+        labels = table["label"] if has_label else None
+        return PredictionSet._trusted(validate_matrix(table["p"], tolerance), labels)
+    except (ValueError, AtckitError, Warning):  # ValueError covers UnicodeDecodeError
+        return None
+
+
+def _lines_within(fh, limit):
+    """The file's lines as numpy reads them, one at a time; a longer one than
+    ``limit`` might hold a field over csv's limit, which ``_read_csv`` rejects."""
+    for line in fh:
+        if len(line) > limit:
+            raise ParseError(f"a line is longer than {limit} characters")
+        yield line
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         reader = csv.reader(fh)
         rows = _rows(reader)
-        header = next(rows, None)
-        if header is None:
-            raise ParseError("empty file")
-        k, has_label = _parse_header([h.strip() for h in header])
+        k, has_label = _read_header(rows)
         probs, labels, lines = [], [], []
         for row in rows:
             if not row:
@@ -133,7 +179,12 @@ def _rows(reader):
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def _parse_header(header) -> tuple[int, bool]:
+def _read_header(rows) -> tuple[int, bool]:
+    """The class count and whether a label column follows, from the first row."""
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty file")
+    header = [h.strip() for h in header]
     has_label = bool(header) and header[-1] == "label"
     prob_cols = header[:-1] if has_label else header
     expected = [f"p{i}" for i in range(len(prob_cols))]
@@ -161,14 +212,14 @@ def _read_json(path):
             raise ParseError(f"row {i}: ragged or non-list probability row")
         if not set(map(type, row)) <= {int, float}:  # a bool's type is not int
             bad = next(x for x in row if type(x) not in (int, float))
-            raise ParseError(f"row {i}: probability {bad!r} is not a number")
+            raise ParseError(f"row {i}: probability {reprlib.repr(bad)} is not a number")
     labels = payload.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(probs):
             raise ParseError('"labels" must be null or match "probs" in length')
         for i, label in enumerate(labels):
             if not isinstance(label, int) or isinstance(label, bool):
-                raise ParseError(f"row {i}: label {label!r} is not an integer")
+                raise ParseError(f"row {i}: label {reprlib.repr(label)} is not an integer")
         labels = np.array(labels, dtype=object)  # any width: range-checked before the int64 cast
     try:
         matrix = np.asarray(probs, dtype=np.float64)

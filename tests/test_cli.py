@@ -153,6 +153,34 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: {reason}") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["p0,p1,label\n", "p0,p1,label\n\n\r\n\n"], ids=["header", "blank-lines"])
+    def test_no_data_rows_print_one_error_and_no_warning(self, tmp_path, text):
+        # in a fresh process: pytest would catch a warning before it reached stderr
+        bad = tmp_path / "no-rows.csv"
+        bad.write_bytes(text.encode())
+        src = str(Path(atckit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "atckit.cli", "estimate", "--source", str(bad), "--target", str(bad)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {bad}: no data rows\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"probs": [[0.5, "x" * 100_000]]}, {"probs": [[0.5, 0.5]], "labels": ["x" * 100_000]}],
+        ids=["probability", "label"],
+    )
+    def test_json_error_line_is_bounded(self, tmp_path, capsys, monkeypatch, payload):
+        monkeypatch.chdir(tmp_path)
+        Path("long.json").write_text(json.dumps(payload))
+        assert main(["estimate", "--source", "long.json", "--target", "long.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: long.json: row 0: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
 
 class TestBenchmark:
     def test_synthetic_shape_contract(self, tmp_path, capsys):

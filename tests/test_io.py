@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import re
+import sys
 import tempfile
+import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atckit import (
+    AtckitError,
     GeneratorSpec,
     InvalidArgumentError,
     NotOnSimplexError,
@@ -22,7 +27,7 @@ from atckit import (
     validate_matrix,
     write_dump,
 )
-from atckit.io import STRICT_SUM_TOLERANCE
+from atckit.io import STRICT_SUM_TOLERANCE, _load_csv_fast, _read_csv
 from atckit.simplex import SUM_TOLERANCE
 
 from oracles import csv_dump_text
@@ -54,6 +59,82 @@ UNREADABLE = [
      "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"),
     ("wide.csv", b"p0,p1,label\n0.5,0.5,0\n0.5," + b"0" * 140_000 + b"5,1\n",
      "line 3: field larger than field limit (131072)"),
+]
+
+
+#: A probability written with 140000 zeros: a valid number in a field over csv's limit.
+_WIDE = "0.5" + "0" * 140_000
+
+#: (file name, contents, the error after the path) of CSV dumps whose fault shows
+#: only after the text is parsed; each names the file line the line parser reads.
+DIAGNOSED_AFTER_PARSE = [
+    ("blank-then-far.csv", "p0,p1\n0.5,0.5\n\n0.5,0.6\n",
+     "line 4: components sum to 1.1, further than 1e-06 from 1"),
+    ("crlf-label.csv", "p0,p1,label\r\n0.5,0.5,0\r\n0.5,0.5,2\r\n", "line 3: label 2 outside [0, 2)"),
+    ("wide-last.csv", f"p0,p1,label\n0.5,0.5,0\n0.5,{_WIDE},1",
+     "line 3: field larger than field limit (131072)"),
+    ("wide-first.csv", f"p0,p1,label\n0.5,{_WIDE},1\n0.5,0.5,0\n",
+     "line 2: field larger than field limit (131072)"),
+]
+
+
+def _field(draw, lines, first=1):
+    """(line, column) of a field on a line from ``first`` on, or None if there is none."""
+    fields = [(i, j) for i in range(first, len(lines)) for j in range(len(lines[i]))]
+    return draw(st.sampled_from(fields)) if fields else None
+
+
+def _pad(draw, lines):
+    if at := _field(draw, lines, first=0):
+        i, j = at
+        before, after = draw(st.sampled_from([" ", "\t", " \t"])), draw(st.sampled_from(["", " ", "\t"]))
+        lines[i][j] = before + lines[i][j] + after
+
+
+def _quote(draw, lines):
+    if at := _field(draw, lines, first=0):
+        i, j = at
+        lines[i][j] = f'"{lines[i][j]}"'
+
+
+def _blank_line(draw, lines):
+    lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([[], [" "], ["\t"], [" \t "]])))
+
+
+def _odd_label(draw, lines):
+    if lines[0][-1] == "label" and (at := _field(draw, lines)):
+        lines[at[0]][-1] = draw(st.sampled_from(["1.0", "1e0", "+1", "\u0663", "1_0"]))  # U+0663: Arabic 3
+
+
+def _underscore_probability(draw, lines):
+    if at := _field(draw, lines):
+        lines[at[0]][0] = "1_0"
+
+
+def _trailing_comma(draw, lines):
+    if at := _field(draw, lines):
+        lines[at[0]].append("")
+
+
+def _missing_field(draw, lines):
+    if at := _field(draw, lines):
+        lines[at[0]].pop()
+
+
+def _nul(draw, lines):
+    if at := _field(draw, lines):
+        i, j = at
+        lines[i][j] += "\x00"
+
+
+def _header_only(draw, lines):
+    del lines[1:]
+
+
+#: Edits of a dump's lines (lists of fields) on which the two CSV parsers may part.
+MUTATIONS = [
+    _pad, _quote, _blank_line, _odd_label, _underscore_probability,
+    _trailing_comma, _missing_field, _nul, _header_only,
 ]
 
 
@@ -317,3 +398,91 @@ class TestTrustedPath:
         path.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 99999999999999999999999]}')
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(f'{path}: labels must lie in [0, 2)')}"):
             load_dump(path)
+
+
+class TestCsvFastPath:
+    """numpy's loader gives the line parser's bits, or leaves the file to it."""
+
+    @given(_dump_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_line_parser_or_defers(self, data, draws):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_dump(data, path)
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+            edits = draws.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+            for edit in edits:
+                edit(draws.draw, lines)
+            ending = draws.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            bom = draws.draw(st.sampled_from(["", "\ufeff"]))
+            last = draws.draw(st.sampled_from([ending, ""]))
+            text = bom + ending.join(",".join(line) for line in lines) + last
+            path.write_text(text, encoding="utf-8", newline="")
+            tolerance = draws.draw(st.sampled_from([SUM_TOLERANCE, STRICT_SUM_TOLERANCE]))
+            fast = _load_csv_fast(path, tolerance)
+            if set(edits) == {_pad}:  # padding, line endings, a BOM and the last newline never defer
+                assert fast is not None
+            if fast is not None:
+                probs, labels, _ = _read_csv(path)
+                slow = validate_matrix(probs, tolerance)
+                assert fast.probs.shape == slow.shape and fast.probs.tobytes() == slow.tobytes()
+                assert fast.labels is None if labels is None else fast.labels.tolist() == labels.tolist()
+
+    def test_takes_a_wide_dump_with_the_same_bits(self, tmp_path):
+        data = generate(GeneratorSpec(k=1000, n=20, target_accuracy=0.7, seed=3))
+        path = tmp_path / "wide.csv"
+        write_dump(data, path)
+        fast = _load_csv_fast(path, SUM_TOLERANCE)
+        probs, labels, _ = _read_csv(path)
+        assert fast.probs.tobytes() == validate_matrix(probs).tobytes()
+        assert fast.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize(
+        "name, text, reason", DIAGNOSED_AFTER_PARSE, ids=[d[0] for d in DIAGNOSED_AFTER_PARSE]
+    )
+    def test_errors_after_the_parse_name_the_file_line(self, tmp_path, name, text, reason):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with pytest.raises(AtckitError) as raised:
+            load_dump(path)
+        assert str(raised.value) == f"{path}: {reason}"
+
+    @pytest.mark.parametrize("label", ["1.0", "1e0"])
+    def test_float_label_rejected_when_numpy_parses_it_with_a_warning(self, tmp_path, label):
+        # numpy 1.x reads "1.0" as an int64 label and only warns that this is deprecated
+        real, calls = np.loadtxt, []
+
+        def numpy1_loadtxt(lines, *, dtype, **kwargs):
+            calls.append(dtype)
+            table = real(lines, dtype=[(name, "f8", *shape) for name, _, *shape in dtype], **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return table.astype(dtype)
+
+        path = tmp_path / "float-label.csv"
+        path.write_text(f"p0,p1,label\n0.5,0.5,{label}\n")
+        with mock.patch.object(np, "loadtxt", numpy1_loadtxt):
+            with pytest.raises(ParseError) as raised:
+                load_dump(path)
+        assert calls and str(raised.value) == f"{path}: line 2: label {label!r} is not an integer"
+
+    def test_threads_leave_the_warning_filters_as_they_were(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("p0,p1,label\n" + "0.5,0.5,1\n" * 200)
+        before, loaded = list(warnings.filters), []
+
+        def load_many():
+            for _ in range(20):
+                loaded.append(len(load_dump(path)))
+
+        threads = [threading.Thread(target=load_many) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert loaded == [200] * 80 and warnings.filters == before
