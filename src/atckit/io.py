@@ -6,6 +6,11 @@ optional trailing ``label`` column; a JSON alternative mirrors it as
 serialized at 12 significant digits, which keeps round-trip error per
 component below 1e-9, comfortably inside the ingestion tolerance.
 
+The CSV writer gives each field exactly the bytes of Python's ``%.12g``
+(``%d`` for a label). It formats the rows a block at a time, with numpy,
+and writes each block as it is done, so its memory is bounded by one row
+block whatever the number of rows.
+
 A CSV goes through numpy's parser first, in one ``np.loadtxt`` call, and
 through the line parser only when it needs diagnosing: on any failure
 the line parser reads the file again and names the offending line. The
@@ -17,6 +22,7 @@ give the same values.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import reprlib
 import threading
@@ -26,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AtckitError, NotOnSimplexError, ParseError
-from .simplex import SUM_TOLERANCE, PredictionSet, validate_matrix
+from .simplex import SUM_TOLERANCE, PredictionSet, _row_blocks, validate_matrix
 
 #: Sum tolerance of ``load_dump(renormalize=False)`` (``--strict-sums``).
 STRICT_SUM_TOLERANCE = 1e-9
@@ -49,20 +55,100 @@ def write_dump(data: PredictionSet, path) -> None:
 
 
 def _write_csv(data: PredictionSet, path) -> None:
-    header = [f"p{i}" for i in range(data.k)]
-    row_format = ",".join(["%.12g"] * data.k)
-    if data.labels is not None:
-        header.append("label")
-        row_format += ",%d"
-    row_format += "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if data.labels is None:
-            for row in data.probs:
-                fh.write(row_format % tuple(row.tolist()))
-        else:
-            for row, label in zip(data.probs, data.labels.tolist()):
-                fh.write(row_format % (*row.tolist(), label))
+    n, k = data.probs.shape
+    header = [f"p{i}" for i in range(k)] + (["label"] if data.labels is not None else [])
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for rows in _row_blocks(n, k):
+            labels = None if data.labels is None else data.labels[rows]
+            fh.write(_csv_rows(data.probs[rows], labels))
+
+
+#: Bytes per cell of a row block, as three little-endian words. A cell
+#: formatted by numpy has its leading character at byte 0 (``0`` in fixed
+#: notation, the first digit in exponent notation), ``.`` at 1, the zeros
+#: of fixed notation at 2-4, the 12 digits at 5-16 (the first of them at
+#: byte 0 instead in exponent notation), ``e-`` and the exponent at 17-21,
+#: and its separator at 23. Bytes it does not use are zero and
+#: are deleted at the end. Python's text for a float or an int64 label
+#: fits in bytes 0-22.
+_SLOT = 24
+
+
+@functools.cache
+def _text_tables():
+    """Word tables for ``_csv_rows``, built on first use.
+
+    Indexed by e = -floor(log10 x), which is 1..290 for a cell numpy
+    formats: ``scale[e]`` is 10**(11 + e), ``row[e]`` picks the row of
+    ``first``, and ``exponent[e]`` holds ``e-`` and the exponent (zero in
+    fixed notation, e <= 4). ``first[row, g]`` is word 0 of a cell whose
+    digits start with the 3 digits of g, ``digits[g]`` is those 3 digits
+    and ``stripped[g]`` the same without trailing zeros.
+    """
+
+    def word(text: bytes) -> int:
+        return int.from_bytes(text, "little")
+
+    exponents = range(292)
+    scale = np.array([float(10 ** (11 + e)) for e in exponents])
+    row = np.array([min(e, 5) - 1 for e in exponents])
+    exponent = np.array([0 if e <= 4 else word(b"\0e-%02d" % e) for e in exponents], "<u8")
+    triples = [b"%03d" % g for g in range(1000)]
+    first = np.array(
+        [[word(b"0." + b"0" * z + b"\0" * (3 - z) + t) for t in triples] for z in range(4)]
+        + [[word(t[:1] + b".\0\0\0\0" + t[1:]) for t in triples]],
+        "<u8",
+    )
+    digits = np.array([word(t) for t in triples], "<u8")
+    stripped = np.array([word(t.rstrip(b"0")) for t in triples], "<u8")
+    return scale, row, exponent, first, digits, stripped
+
+
+def _csv_rows(probs: np.ndarray, labels) -> bytes:
+    """CSV lines of a row block: each probability exactly as ``"%.12g" % x``, then the label.
+
+    A cell is formatted here when its 12 digits are certain: 1e-289 <= x
+    < 1, ``x * 10**(11 - X)`` with X = floor(log10 x) lies more than 1e-3
+    from a rounding tie, and it rounds to a 12-digit integer M whose last
+    3 digits are not all zero. Its two roundings move that product (below
+    1e12) by under 2.3e-4, so M holds the digits that C's dtoa prints.
+    Python formats every other cell (0, -0.0, 1, subnormals, ties, a carry
+    to the next power of ten, 9 significant digits or fewer) and every
+    label. The zero bytes of the slots are deleted in one pass at the end.
+    """
+    scale, row, exponent, first, digits, stripped = _text_tables()
+    n, k = probs.shape
+    fast = (probs >= 1e-289) & (probs < 1.0)
+    x = np.where(fast, probs, 0.5)
+    e = np.negative(np.floor(np.log10(x))).astype(np.intp)
+    scaled = x * scale[e]
+    m = np.rint(scaled)
+    fast &= (m >= 1e11) & (m < 1e12) & (np.abs(scaled - m) < 0.499)
+    m[~fast] = 1e11  # any 12-digit value keeps the table indices of Python's cells in range
+    high = np.floor(m / 1e6)
+    low = m - high * 1e6
+    g0, g2 = np.floor(high / 1e3), np.floor(low / 1e3)
+    g0, g1, g2, g3 = (g.astype(np.intp) for g in (g0, high - g0 * 1e3, g2, low - g2 * 1e3))
+    fast &= g3 != 0
+    tail = stripped[g3]
+    words = np.zeros((n, k + (labels is not None), 3), "<u8")
+    cells = words[:, :k]
+    cells[..., 0] = first[row[e], g0]
+    cells[..., 1] = digits[g1] | digits[g2] << 24 | tail << 48
+    cells[..., 2] = tail >> 16 | exponent[e]
+    text = words.view(np.uint8).reshape(n, -1, _SLOT)
+    text[:, :, -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
+    at_row, at_col = np.nonzero(~fast)
+    fields = [b"%.12g" % v for v in probs[at_row, at_col].tolist()]
+    if labels is not None:
+        at_row = np.concatenate([at_row, np.arange(n)])
+        at_col = np.concatenate([at_col, np.full(n, k)])
+        fields += [b"%d" % label for label in labels.tolist()]
+    if fields:
+        text[at_row, at_col, :-1] = np.array(fields, f"S{_SLOT - 1}").view(np.uint8).reshape(-1, _SLOT - 1)
+    return text.tobytes().translate(None, b"\0")
 
 
 def _write_json(data: PredictionSet, path) -> None:

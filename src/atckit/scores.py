@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .simplex import PredictionSet
+from .simplex import PredictionSet, _row_blocks
 
 
 class ScoreFunction(Enum):
@@ -182,9 +182,21 @@ def as_scorer(fn: Scorer) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def score_batch(data: PredictionSet | np.ndarray, fn: Scorer) -> np.ndarray:
-    """Score every vector of ``data``, preserving input order."""
+    """Score every vector of ``data``, preserving input order.
+
+    The registry kernels and their rescalings work row by row, so they
+    score one row block at a time, bit for bit as on the whole matrix,
+    and their temporaries stay one block in size. Any other callable gets
+    the whole matrix, since nothing says it works row by row.
+    """
     probs = data.probs if isinstance(data, PredictionSet) else np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return as_scorer(fn)(probs)
+    kernel = as_scorer(fn)
+    if not isinstance(fn, (ScoreFunction, MonotoneTransform)):
+        return kernel(probs)
+    out = np.empty(probs.shape[0])
+    for rows in _row_blocks(*probs.shape):
+        out[rows] = kernel(probs[rows])
+    return out
 
 
 def score(v, fn: Scorer) -> float:

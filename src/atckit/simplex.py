@@ -25,6 +25,11 @@ from .errors import (
 #: Default ingestion tolerance for the sum-to-one check.
 SUM_TOLERANCE = 1e-6
 
+#: Matrix entries per row block. Code that walks a matrix block by block
+#: (the score kernels, the CSV writer) holds temporaries in proportion to
+#: this, whatever the number of rows.
+_BLOCK_CELLS = 1 << 16
+
 
 class Convention(Enum):
     """Whether a metric value counts successes or failures."""
@@ -89,8 +94,9 @@ def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
     if np.any(probs < -tolerance):
         bad = int(np.argwhere(np.any(probs < -tolerance, axis=1))[0, 0])
         raise NotOnSimplexError(bad, f"component below -{tolerance:g} ({probs[bad].min():.6g})")
-    probs = np.where(probs < 0.0, 0.0, probs)
-    sums = probs.sum(axis=1)
+    probs[probs < 0.0] = 0.0  # in place on the copy above; -0.0 is not below 0 and stays
+    with np.errstate(over="ignore"):  # a sum past the float range is rejected below
+        sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > tolerance
     if np.any(off):
         bad = int(np.argwhere(off)[0, 0])
@@ -189,6 +195,13 @@ def resample_indices(n: int, seed, n_sets: int = 1):
     rng = np.random.default_rng(seed)
     for _ in range(n_sets):
         yield rng.integers(0, n, size=n)
+
+
+def _row_blocks(n: int, k: int):
+    """Slices of consecutive rows of an (n, k) matrix, each of at most
+    ``_BLOCK_CELLS`` entries; a row wider than that is a block of its own."""
+    step = max(1, _BLOCK_CELLS // k)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def check_seed(seed) -> None:

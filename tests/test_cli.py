@@ -168,6 +168,20 @@ class TestEstimate:
         assert result.returncode == 2
         assert result.stderr == f"error: {bad}: no data rows\n"
 
+    def test_sum_past_the_float_range_prints_one_error_and_no_warning(self, tmp_path):
+        # in a fresh process: pytest would catch numpy's overflow warning before it reached stderr
+        bad = tmp_path / "huge.csv"
+        bad.write_bytes(b"p0,p1,label\n1e308,1e308,0\n")
+        src = str(Path(atckit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "atckit.cli", "estimate", "--source", str(bad), "--target", str(bad)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {bad}: line 2: components sum to inf, further than 1e-06 from 1\n"
+
     @pytest.mark.parametrize(
         "payload",
         [{"probs": [[0.5, "x" * 100_000]]}, {"probs": [[0.5, 0.5]], "labels": ["x" * 100_000]}],

@@ -28,7 +28,7 @@ from atckit import (
     write_dump,
 )
 from atckit.io import STRICT_SUM_TOLERANCE, _load_csv_fast, _read_csv
-from atckit.simplex import SUM_TOLERANCE
+from atckit.simplex import _BLOCK_CELLS, SUM_TOLERANCE, _row_blocks
 
 from oracles import csv_dump_text
 
@@ -166,6 +166,35 @@ def sample(tmp_path):
     return data, tmp_path
 
 
+#: (rows, k) of sets that span more than one row block of the writer:
+#: 70 rows at k = 1000, and 2 rows each wider than a whole block.
+BLOCK_CROSSING = [(70, 1000), (2, _BLOCK_CELLS + 7)]
+
+
+def _block_crossing_set(n, k):
+    """A labeled Dirichlet set of that shape with a 0, a -0.0, a subnormal and a vertex row."""
+    rng = np.random.default_rng(k)
+    rows = rng.dirichlet(np.full(k, 0.5), n)
+    rows[0, :3] = [0.0, -0.0, 5e-324]
+    rows[0] /= rows[0].sum()
+    rows[-1] = 0.0
+    rows[-1, k // 2] = 1.0
+    return PredictionSet(rows, rng.integers(0, k, n))
+
+
+def _round_trip_error_within_bound(written, loaded):
+    """Each loaded component lies within what 12 significant digits and renormalisation allow.
+
+    Writing moves a component p by at most 5e-12 p, and parsing by half an
+    ulp (or half the subnormal spacing). The sum of the written row is then
+    within 5e-12 plus k roundings of 1, and dividing by it moves each
+    component by that much relative again.
+    """
+    k = written.shape[1]
+    bound = written * (1.1e-11 + (k + 4) * 2.0**-52) + 5e-324
+    return bool(np.all(np.abs(loaded - written) <= bound))
+
+
 class TestRoundTrip:
     def test_csv_round_trip_within_1e9(self, sample):
         data, tmp = sample
@@ -212,6 +241,94 @@ class TestRoundTrip:
         write_dump(data, path)
         loaded = load_dump(path, renormalize=False)
         assert np.max(np.abs(loaded.probs - data.probs)) <= 1e-9
+
+    @given(_dump_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_round_trip_within_12_digit_bound(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_dump(data, path)
+            loaded = load_dump(path)
+        assert loaded.probs.shape == data.probs.shape
+        assert (loaded.labels is None) if data.labels is None else loaded.labels.tolist() == data.labels.tolist()
+        assert _round_trip_error_within_bound(data.probs, loaded.probs)
+
+    @pytest.mark.parametrize("n, k", BLOCK_CROSSING)
+    def test_block_crossing_shapes_write_per_element_and_round_trip(self, tmp_path, n, k):
+        assert len(list(_row_blocks(n, k))) > 1
+        data = _block_crossing_set(n, k)
+        path = tmp_path / "wide.csv"
+        write_dump(data, path)
+        assert path.read_text() == csv_dump_text(data.probs, data.labels)
+        loaded = load_dump(path)
+        assert loaded.probs.shape == (n, k) and loaded.labels.tolist() == data.labels.tolist()
+        assert _round_trip_error_within_bound(data.probs, loaded.probs)
+
+
+def _written(rows, labels=None) -> str:
+    """The CSV text ``write_dump`` gives for ``rows`` as they are, not validated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dump(PredictionSet._trusted(rows, labels), path)
+        return path.read_text()
+
+
+def _decimal_ties(rng, count) -> list[float]:
+    """13-digit decimals ending in 5 at exponents down to 1e-322: each is a
+    rounding tie at the 12th digit, and its nearest double lies just off it."""
+    digits = rng.integers(10**11, 10**12, size=count).tolist()
+    exponents = rng.integers(12, 323, size=count).tolist()
+    return [float(f"{d}5e-{e}") for d, e in zip(digits, exponents)]
+
+
+def _adversarial_values() -> list[float]:
+    """Values in [0, 1] on which a 12-digit formatter can go wrong.
+
+    0, -0.0, 1 and subnormals; every 2**-n, many of them exact decimal
+    ties at the 12th digit; 30 neighbours on either side of every
+    10**-n, which all round to it (those below carry across a power of
+    ten); values that round up to 1e-4 (the switch to fixed notation) and
+    to 1; and 13-digit decimal ties.
+    """
+    values = [0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308]
+    values += [9.99999999999951e-05, 9.9999999999995e-05, 9.99999999999949e-05, 0.99999999999951, 0.9999999999995]
+    values += [2.0**-n for n in range(1, 1075)]
+    for n in range(1, 324):
+        below = above = 10.0**-n
+        for _ in range(30):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            values += [float(below), float(above)]
+    return values + _decimal_ties(np.random.default_rng(15), 3000)
+
+
+ADVERSARIAL = _adversarial_values()
+
+
+@st.composite
+def _hard_floats(draw):
+    """A value of [0, 1], or one just above 1: any float, a listed adversarial one or a neighbour of 10**-n."""
+    kind = draw(st.sampled_from(["any", "listed", "decade"]))
+    if kind == "any":
+        return draw(st.floats(0.0, 1.0))
+    if kind == "listed":
+        return draw(st.sampled_from(ADVERSARIAL))
+    return float(10.0 ** -draw(st.integers(0, 323)) * (1.0 + draw(st.integers(-64, 64)) * 2.0**-52))
+
+
+class TestCsvWriter:
+    """The block formatter gives the bytes of Python's ``%.12g``, cell for cell."""
+
+    def test_adversarial_values_format_as_percent_g(self):
+        rows = np.array(ADVERSARIAL + [0.5] * (-len(ADVERSARIAL) % 97)).reshape(-1, 97)
+        assert _written(rows) == csv_dump_text(rows, None)
+
+    @given(st.lists(_hard_floats(), max_size=60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_format_as_percent_g(self, values, seed):
+        # about 1 in 100 decimal ties needs the margin to the tie, so each row holds 32 of them
+        rows = np.array([values + _decimal_ties(np.random.default_rng(seed), 32)])
+        labels = np.array([seed % rows.shape[1]])
+        assert _written(rows, labels) == csv_dump_text(rows, labels)
 
 
 class TestParsing:

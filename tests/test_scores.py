@@ -1,6 +1,7 @@
 """Score function values, symmetries, and closed forms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,8 @@ from atckit import (
     score,
     score_batch,
 )
+from atckit.scores import as_scorer
+from atckit.simplex import _row_blocks
 
 from oracles import js_divergence_reference, js_to_uniform_reference, neg_entropy_reference
 
@@ -202,6 +205,39 @@ class TestExactInvariance:
                 assert np.array_equal(score_batch(strided[:, 1::2], fn), base)
                 rows = np.concatenate([score_batch(probs[i : i + 1], fn) for i in range(n)])
                 assert np.array_equal(rows, base)
+
+
+class TestRowBlocks:
+    """Registry kernels and their rescalings score one row block at a time."""
+
+    def test_blocks_give_the_whole_matrix_bits(self):
+        probs = PredictionSet(np.random.default_rng(4).dirichlet(np.full(1000, 0.1), 150)).probs
+        assert len(list(_row_blocks(*probs.shape))) > 1
+        for fn in ALL_FNS + (MonotoneTransform.odd_power(ScoreFunction.JS_TO_UNIFORM, 3),):
+            assert np.array_equal(score_batch(probs, fn), as_scorer(fn)(probs))
+
+    def test_memory_stays_within_a_block(self):
+        probs = np.random.default_rng(5).dirichlet(np.ones(1000), 5000)  # 38 MiB
+        for fn in ALL_FNS:
+            tracemalloc.start()
+            try:
+                score_batch(probs, fn)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # js on the whole matrix held four (5000, 1000) arrays, about 160 MiB
+            assert peak <= 4 * 2**20, fn
+
+    def test_any_other_callable_gets_the_whole_matrix(self):
+        shapes = []
+
+        def first_component(probs):
+            shapes.append(probs.shape)
+            return probs[:, 0]
+
+        probs = np.full((150, 1000), 1e-3)
+        assert np.array_equal(score_batch(probs, first_component), probs[:, 0])
+        assert shapes == [(150, 1000)]
 
 
 class TestMonotoneTransforms:

@@ -1,5 +1,7 @@
 """Vector validation, prediction sets, and metric conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,25 @@ class TestValidateVector:
         v = validate_matrix([1.0, -1e-9, 1e-9])[0]
         assert v.min() >= 0.0
         assert abs(v.sum() - 1.0) <= 1e-12
+
+    def test_clamp_leaves_negative_zero_and_the_caller_array_alone(self):
+        raw = np.array([[-0.0, 1.0, -1e-9, 1e-9]])
+        v = validate_matrix(raw)[0]
+        assert np.signbit(v[0]) and v[2] == 0.0 and not np.signbit(v[2])
+        assert raw[0, 2] == -1e-9
+
+    def test_holds_one_copy_of_its_input(self):
+        raw = np.random.default_rng(3).dirichlet(np.ones(1000), 2000)
+        raw[:, ::100] = -1e-9  # negatives to clamp
+        raw /= raw.sum(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            validate_matrix(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the copy it returns, plus boolean masks; a second float copy would reach 2x
+        assert peak < 1.5 * raw.nbytes
 
     def test_large_negative_rejected(self):
         with pytest.raises(NotOnSimplexError):
