@@ -71,13 +71,32 @@ def _as_error_value(gamma: MetricValue | float) -> float:
     return value
 
 
+def _best_candidate(counts, gamma: float) -> tuple[int, float]:
+    """The threshold rule on per-candidate counts: ``(index, proportion)``.
+
+    ``counts[i]`` is how many scores equal the i-th smallest candidate
+    value; only values with a non-zero count are candidates. A
+    candidate's proportion is the fraction of scores strictly below it,
+    and the sentinel after the last candidate has proportion 1. The first
+    candidate nearest ``gamma`` wins, so ties go to the smallest
+    threshold. ``index`` is ``len(counts)`` when the sentinel wins.
+    """
+    total = np.cumsum(counts)
+    kept = np.flatnonzero(counts)
+    proportions = np.append((total[kept] - counts[kept]) / total[-1], 1.0)
+    best = int(np.argmin(np.abs(gamma - proportions)))  # first hit = smallest t
+    index = int(kept[best]) if best < kept.size else len(counts)
+    return index, float(proportions[best])
+
+
 def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdModel:
     """Pick the threshold whose below-threshold fraction best matches ``gamma_s``.
 
     ``gamma_s`` is interpreted in the error convention (a bare float is
-    taken as an error rate). Candidates are swept over the sorted
-    distinct scores in O(n log n); the result is identical to the naive
-    quadratic scan over all candidates.
+    taken as an error rate). The distinct scores are counted in
+    O(n log n) and handed to ``_best_candidate``, the one candidate rule
+    that the bootstrap engine also applies to its resample counts; the
+    result is identical to the naive quadratic scan over all candidates.
     """
     scores = np.asarray(source_scores, dtype=np.float64).ravel()
     if scores.size == 0:
@@ -85,20 +104,13 @@ def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdMod
     if not np.all(np.isfinite(scores)):
         raise ValueError("source scores must be finite")
     gamma = _as_error_value(gamma_s)
-    n = scores.size
 
-    ordered = np.sort(scores)
-    # first occurrence of each distinct value in the sorted array equals
-    # the count of scores strictly below it
-    uniq, first = np.unique(ordered, return_index=True)
-    candidates = np.append(uniq, np.inf)
-    proportions = np.append(first / n, 1.0)
-
-    best = int(np.argmin(np.abs(gamma - proportions)))  # first hit = smallest t
+    uniq, counts = np.unique(scores, return_counts=True)
+    index, proportion = _best_candidate(counts, gamma)
     return ThresholdModel(
-        threshold=float(candidates[best]),
+        threshold=float(uniq[index]) if index < uniq.size else np.inf,
         source_metric=MetricValue(gamma, Convention.ERROR),
-        achieved_source_proportion=float(proportions[best]),
+        achieved_source_proportion=proportion,
     )
 
 

@@ -9,7 +9,8 @@ component below 1e-9, comfortably inside the ingestion tolerance.
 The CSV writer gives each field exactly the bytes of Python's ``%.12g``
 (``%d`` for a label). It formats the rows a block at a time, with numpy,
 and writes each block as it is done, so its memory is bounded by one row
-block whatever the number of rows.
+block whatever the number of rows. The JSON writer gives the bytes of
+``json.dump`` and also writes a row block at a time.
 
 A CSV goes through numpy's parser first, in one ``np.loadtxt`` call, and
 through the line parser only when it needs diagnosing: on any failure
@@ -152,13 +153,18 @@ def _csv_rows(probs: np.ndarray, labels) -> bytes:
 
 
 def _write_json(data: PredictionSet, path) -> None:
-    payload = {
-        "probs": data.probs.tolist(),
-        "labels": None if data.labels is None else data.labels.tolist(),
-    }
+    """The text of ``json.dump(payload)`` and a newline, written a row block at a time.
+
+    Each block's rows are encoded by ``json.dumps``, whose C encoder gives
+    the same text as the streaming one that ``json.dump`` uses.
+    """
+    n, k = data.probs.shape
+    labels = None if data.labels is None else data.labels.tolist()
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write('{"probs": [')
+        for rows in _row_blocks(n, k):
+            fh.write((", " if rows.start else "") + json.dumps(data.probs[rows].tolist())[1:-1])
+        fh.write('], "labels": ' + json.dumps(labels) + "}\n")
 
 
 def load_dump(path, renormalize: bool = True) -> PredictionSet:

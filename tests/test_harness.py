@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atckit.harness
 import atckit.scores
 from atckit import (
     SCORE_IDS,
@@ -22,6 +23,7 @@ from atckit import (
     InvalidArgumentError,
     MetricValue,
     PredictionSet,
+    ScoreFunction,
     Shift,
     aggregate,
     bootstrap_resample,
@@ -31,6 +33,7 @@ from atckit import (
     rank_methods,
     run_benchmark,
     run_benchmark_suite,
+    score_batch,
     write_dump,
 )
 from atckit.cli import main
@@ -244,6 +247,46 @@ class TestScoreOnceEngine:
         for method in CANONICAL_METHODS:
             args = (source, target, (method,), 3, master_seed)
             assert _outcome(_engine_runs, *args) == _outcome(_per_run_reference, *args)
+
+    @given(_tied_pair(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_atc_methods_in_one_call_equal_the_per_run_reference(self, pair, master_seed):
+        # kernels that order the tied rows alike share their runs here
+        args = (*pair, SCORE_IDS, 3, master_seed)
+        assert _outcome(_engine_runs, *args) == _outcome(_per_run_reference, *args)
+
+    def test_binary_kernels_share_one_run(self, monkeypatch):
+        # at k = 2 every kernel orders the rows alike: one candidate search per run, not six
+        calls = []
+        original = atckit.harness._best_candidate
+
+        def counting(counts, gamma):
+            calls.append(gamma)
+            return original(counts, gamma)
+
+        monkeypatch.setattr(atckit.harness, "_best_candidate", counting)
+        source, target = _small_pair(k=2, n=300, seed=16)
+        args = (source, target, SCORE_IDS, 20, 5)
+        outcome = _outcome(_engine_runs, *args)
+        assert len(calls) == 20
+        assert all(outcome[m] == outcome["max"] for m in SCORE_IDS)
+        assert outcome == _outcome(_per_run_reference, *args)
+
+    def test_kernels_ordering_only_the_source_alike_do_not_share(self):
+        # at k = 3, max and l1u order rows whose middle component is below 1/3 alike;
+        # some target rows are not such rows, so the two split the target differently
+        source = PredictionSet(
+            [[0.5, 0.3, 0.2], [0.25, 0.6, 0.15], [0.1, 0.1, 0.8],
+             [0.4, 0.32, 0.28], [0.3, 0.2, 0.5], [0.7, 0.2, 0.1]],
+            [0, 0, 2, 1, 2, 1],
+        )
+        target = PredictionSet([[0.45, 0.45, 0.1], [0.5, 0.3, 0.2], [0.35, 0.35, 0.3], [0.1, 0.42, 0.48]])
+        ranks = [np.unique(score_batch(source, ScoreFunction(m)), return_inverse=True)[1] for m in ("max", "l1u")]
+        assert np.array_equal(*ranks)
+        args = (source, target, ("max", "l1u"), 40, 2)
+        outcome = _outcome(_engine_runs, *args)
+        assert outcome["max"] != outcome["l1u"]
+        assert outcome == _outcome(_per_run_reference, *args)
 
     @pytest.mark.parametrize("order", [CANONICAL_METHODS, CANONICAL_METHODS[::-1]], ids=["fwd", "rev"])
     @pytest.mark.parametrize(

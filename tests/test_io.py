@@ -1,6 +1,7 @@
 """Dump serialization: round trips and row-level diagnostics."""
 
 import dataclasses
+import io
 import json
 import re
 import sys
@@ -329,6 +330,37 @@ class TestCsvWriter:
         rows = np.array([values + _decimal_ties(np.random.default_rng(seed), 32)])
         labels = np.array([seed % rows.shape[1]])
         assert _written(rows, labels) == csv_dump_text(rows, labels)
+
+
+def _json_cells_set(n, k, labeled):
+    """A Dirichlet set of that shape whose first rows hold 0, -0.0 and 5e-324, each beside a 1.0."""
+    rng = np.random.default_rng(k)
+    rows = rng.dirichlet(np.full(k, 0.5), n)
+    for i, cell in enumerate([0.0, -0.0, 5e-324]):
+        rows[i] = 0.0
+        rows[i, [0, -1]] = [cell, 1.0]
+    data = PredictionSet(rows, rng.integers(0, k, n) if labeled else None)
+    assert [x.hex() for x in data.probs[:3, 0].tolist()] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0000000000001p-1022"]
+    return data
+
+
+class TestJsonWriter:
+    """The block writer gives the bytes of one ``json.dump`` call, whatever the blocks."""
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labels", "no-labels"])
+    @pytest.mark.parametrize("n, k", [(_BLOCK_CELLS // 2 + 1, 2), (_BLOCK_CELLS // 1000 + 2, 1000)])
+    def test_matches_json_dump(self, tmp_path, n, k, labeled):
+        assert len(list(_row_blocks(n, k))) > 1
+        data = _json_cells_set(n, k, labeled)
+        path = tmp_path / "d.json"
+        write_dump(data, path)
+        expected = io.StringIO()
+        labels = None if data.labels is None else data.labels.tolist()
+        json.dump({"probs": data.probs.tolist(), "labels": labels}, expected)
+        written, wanted = path.read_text(), expected.getvalue() + "\n"
+        # no == inside the assert: pytest's diff of two megabyte strings takes minutes
+        same = written == wanted
+        assert same, f"first difference at {next(i for i, ab in enumerate(zip(written, wanted + '!')) if len(set(ab)) > 1)}"
 
 
 class TestParsing:

@@ -21,6 +21,7 @@ from atckit import (
     true_accuracy,
     validate_matrix,
 )
+from atckit.simplex import _BLOCK_CELLS, _resample_blocks, _row_blocks, resample_indices
 
 
 class TestValidateVector:
@@ -184,6 +185,35 @@ class TestTrueAccuracy:
         b = true_accuracy(PredictionSet(probs, labels))
         assert a == b
         assert 0.0 <= a.value <= 1.0
+
+
+class TestResampleIndices:
+    """Index vectors are drawn a row block of the (n_sets, n) index matrix at a time."""
+
+    @pytest.mark.parametrize("n_sets", [0, 1, 10, 33, 100])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1999, 2000, 50_000])
+    def test_blocks_equal_one_draw_per_vector(self, n, n_sets):
+        seed = [n, n_sets]
+        rows = [r.stop - r.start for r in _row_blocks(n_sets, n)]
+        assert [len(block) for block in _resample_blocks(n, seed, n_sets)] == rows
+        rng = np.random.default_rng(seed)
+        drawn = 0
+        for idx in resample_indices(n, seed, n_sets):
+            assert np.array_equal(idx, rng.integers(0, n, size=n))
+            drawn += 1
+        assert drawn == n_sets
+
+    def test_consuming_holds_a_few_blocks(self):
+        n = 50_000
+        tracemalloc.start()
+        try:
+            for _ in resample_indices(n, 3, 1000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block is one 400 kB row here; the whole (1000, n) matrix would be 400 MB
+        assert peak < 4 * 8 * max(_BLOCK_CELLS, n)
 
 
 class TestMetricValue:
