@@ -55,7 +55,10 @@ def bootstrap_calibration(
 ) -> list[tuple[PredictionSet, MetricValue]]:
     """Calibration sets built as with-replacement resamples of ``source``.
 
-    The construction ``doc-reg`` uses, in the harness and the CLI.
+    ``doc-reg``'s calibration built set by set, the reference that
+    ``tests/per_set_reference.py`` holds the engine to. The harness and
+    the CLI draw it inside ``harness.score_once``, which reproduces it
+    bit for bit.
     """
     check_calibration(source, n_sets)
     check_seed(seed)

@@ -118,8 +118,6 @@ def derive_seed(*parts) -> int:
 
 def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     """Sample ``len(data)`` rows with replacement; labels travel along."""
-    if len(data) == 0:
-        raise EmptyInputError("cannot resample an empty set")
     (idx,) = resample_indices(len(data), seed)
     return data.subset(idx)
 

@@ -17,17 +17,17 @@ through the line parser only when it needs diagnosing: on any failure
 the line parser reads the file again and names the offending line. The
 line parser defines what a dump may hold. numpy's path accepts a subset
 of that and gives the same bits, so the two accept the same files and
-give the same values.
+give the same values. Both convert a label's text with Python's ``int``,
+whatever the numpy version, and numpy's path sets no process-wide state.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import reprlib
-import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +37,6 @@ from .simplex import SUM_TOLERANCE, PredictionSet, _row_blocks, validate_matrix
 
 #: Sum tolerance of ``load_dump(renormalize=False)`` (``--strict-sums``).
 STRICT_SUM_TOLERANCE = 1e-9
-
-#: ``warnings.catch_warnings`` saves and restores the process's filters, so
-#: two threads inside it at once can leave the "error" filter behind.
-_WARNINGS_LOCK = threading.Lock()
 
 
 def _format_of(path) -> str:
@@ -196,35 +192,46 @@ def load_dump(path, renormalize: bool = True) -> PredictionSet:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+#: Characters of a label's text that the fast path keeps: numpy cuts a
+#: longer text silently, so a label that fills them is left to ``_read_csv``.
+_LABEL_CHARS = 32
+
+
 def _load_csv_fast(path, tolerance):
     """The CSV dump as one ``np.loadtxt`` call reads it, or None to leave it to ``_read_csv``.
 
     Whatever this accepts, ``_read_csv`` accepts with the same bits; any
     doubt returns None. numpy has no quote character, so a quoted field
-    fails, and ``comments=None`` keeps ``#`` a bad number. Warnings are
-    errors: a file with no data rows warns, and numpy 1.x parses ``1.0``
-    as an int64 label with only a DeprecationWarning.
+    fails, and ``comments=None`` keeps ``#`` a bad number. Labels are read
+    as text and converted with Python's ``int``, as ``_read_csv`` does, so
+    the two share one label rule on every numpy version. A file with no
+    data line never reaches numpy. Nothing here changes process state.
     """
     try:
-        with _WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                k, has_label = _read_header(_rows(csv.reader(fh)))
-                columns = [("p", "f8", (k,))] + ([("label", "i8")] if has_label else [])
-                lines = _lines_within(fh, csv.field_size_limit())
-                table = np.loadtxt(lines, delimiter=",", comments=None, dtype=columns, ndmin=1)
-        labels = table["label"] if has_label else None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            k, has_label = _read_header(_rows(csv.reader(fh)))
+            columns = [("p", "f8", (k,))] + ([("label", f"U{_LABEL_CHARS}")] if has_label else [])
+            lines = _lines_within(fh, csv.field_size_limit())
+            if (first := next((line for line in lines if line.strip("\r\n")), None)) is None:
+                return None  # no data rows
+            lines = itertools.chain([first], lines)
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=columns, ndmin=1)
+        texts = table["label"].tolist() if has_label else []
+        if texts and max(map(len, texts)) >= _LABEL_CHARS:  # numpy may have cut it
+            return None
+        labels = [int(text) for text in texts] if has_label else None
         return PredictionSet._trusted(validate_matrix(table["p"], tolerance), labels)
-    except (ValueError, AtckitError, Warning):  # ValueError covers UnicodeDecodeError
+    except (ValueError, AtckitError):  # ValueError covers UnicodeDecodeError
         return None
 
 
 def _lines_within(fh, limit):
-    """The file's lines as numpy reads them, one at a time; a longer one than
-    ``limit`` might hold a field over csv's limit, which ``_read_csv`` rejects."""
+    """The file's lines as numpy reads them, one at a time. A line longer
+    than ``limit`` might hold a field over csv's limit, which ``_read_csv``
+    rejects; a NUL might end a label, which numpy drops and ``int`` rejects."""
     for line in fh:
-        if len(line) > limit:
-            raise ParseError(f"a line is longer than {limit} characters")
+        if len(line) > limit or "\0" in line:
+            raise ParseError("a line is too long or holds a NUL")
         yield line
 
 

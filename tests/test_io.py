@@ -76,6 +76,9 @@ DIAGNOSED_AFTER_PARSE = [
      "line 3: field larger than field limit (131072)"),
     ("wide-first.csv", f"p0,p1,label\n0.5,{_WIDE},1\n0.5,0.5,0\n",
      "line 2: field larger than field limit (131072)"),
+    # numpy cuts a label's text to the width of its field and drops a trailing NUL
+    ("wide-label.csv", "p0,p1,label\n0.5,0.5,0\n0.5,0.5," + "0" * 40 + "2\n", "line 3: label 2 outside [0, 2)"),
+    ("nul-label.csv", "p0,p1,label\n0.5,0.5,1\0\n", "line 2: label '1\\x00' is not an integer"),
 ]
 
 
@@ -104,7 +107,8 @@ def _blank_line(draw, lines):
 
 def _odd_label(draw, lines):
     if lines[0][-1] == "label" and (at := _field(draw, lines)):
-        lines[at[0]][-1] = draw(st.sampled_from(["1.0", "1e0", "+1", "\u0663", "1_0"]))  # U+0663: Arabic 3
+        # U+0663: Arabic 3; the zero-padded 1 is wider than the fast path's label text
+        lines[at[0]][-1] = draw(st.sampled_from(["1.0", "1e0", "+1", "\u0663", "1_0", "0" * 40 + "1"]))
 
 
 def _underscore_probability(draw, lines):
@@ -181,6 +185,13 @@ def _block_crossing_set(n, k):
     rows[-1] = 0.0
     rows[-1, k // 2] = 1.0
     return PredictionSet(rows, rng.integers(0, k, n))
+
+
+def _first_difference(written: str, wanted: str) -> str:
+    """Where two unequal texts part, for an assert that compares them outside
+    itself: pytest's diff of two megabyte strings takes minutes."""
+    at = next((i for i, (a, b) in enumerate(zip(written, wanted)) if a != b), min(len(written), len(wanted)))
+    return f"first difference at {at}: {written[at:at + 30]!r} != {wanted[at:at + 30]!r}"
 
 
 def _round_trip_error_within_bound(written, loaded):
@@ -260,7 +271,9 @@ class TestRoundTrip:
         data = _block_crossing_set(n, k)
         path = tmp_path / "wide.csv"
         write_dump(data, path)
-        assert path.read_text() == csv_dump_text(data.probs, data.labels)
+        written, wanted = path.read_text(), csv_dump_text(data.probs, data.labels)
+        same = written == wanted
+        assert same, _first_difference(written, wanted)
         loaded = load_dump(path)
         assert loaded.probs.shape == (n, k) and loaded.labels.tolist() == data.labels.tolist()
         assert _round_trip_error_within_bound(data.probs, loaded.probs)
@@ -321,7 +334,9 @@ class TestCsvWriter:
 
     def test_adversarial_values_format_as_percent_g(self):
         rows = np.array(ADVERSARIAL + [0.5] * (-len(ADVERSARIAL) % 97)).reshape(-1, 97)
-        assert _written(rows) == csv_dump_text(rows, None)
+        written, wanted = _written(rows), csv_dump_text(rows, None)
+        same = written == wanted
+        assert same, _first_difference(written, wanted)
 
     @given(st.lists(_hard_floats(), max_size=60), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -358,9 +373,8 @@ class TestJsonWriter:
         labels = None if data.labels is None else data.labels.tolist()
         json.dump({"probs": data.probs.tolist(), "labels": labels}, expected)
         written, wanted = path.read_text(), expected.getvalue() + "\n"
-        # no == inside the assert: pytest's diff of two megabyte strings takes minutes
         same = written == wanted
-        assert same, f"first difference at {next(i for i, ab in enumerate(zip(written, wanted + '!')) if len(set(ab)) > 1)}"
+        assert same, _first_difference(written, wanted)
 
 
 class TestParsing:
@@ -552,6 +566,7 @@ class TestTrustedPath:
 class TestCsvFastPath:
     """numpy's loader gives the line parser's bits, or leaves the file to it."""
 
+    @pytest.mark.filterwarnings("error")
     @given(_dump_sets(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_equals_line_parser_or_defers(self, data, draws):
@@ -635,3 +650,27 @@ class TestCsvFastPath:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert loaded == [200] * 80 and warnings.filters == before
+
+    def test_warnings_of_other_threads_stay_as_filtered(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("p0,p1,label\n" + "0.5,0.5,1\n" * 2000)
+        done, raised = threading.Event(), []
+
+        def warn_until_done():
+            while not done.is_set():
+                try:
+                    warnings.warn("harmless", UserWarning)
+                except Warning as exc:
+                    raised.append(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            thread = threading.Thread(target=warn_until_done)
+            thread.start()
+            try:
+                loaded = [len(load_dump(path)) for _ in range(30)]
+            finally:
+                done.set()
+                thread.join(timeout=60)
+        assert not thread.is_alive() and loaded == [2000] * 30
+        assert not raised, f"{len(raised)} warnings raised in the other thread"
