@@ -112,12 +112,7 @@ def _add_benchmark_parser(subparsers) -> None:
     p.add_argument("--synthetic", action="store_true", help="generate pairs instead")
     p.add_argument("--k", type=int, nargs="+", default=[6], help="synthetic class counts")
     p.add_argument("--n", type=int, default=2000, help="synthetic examples per set")
-    p.add_argument("--accuracy", type=float, default=0.8)
-    p.add_argument("--concentration", type=float, default=8.0)
-    p.add_argument(
-        "--temperature", type=float, default=1.0,
-        help="softens (>1) or sharpens (<1) target confidences; 1 = no shift",
-    )
+    _add_generator_flags(p)
     p.add_argument(
         "--methods",
         nargs="+",
@@ -133,26 +128,12 @@ def _add_benchmark_parser(subparsers) -> None:
     p.set_defaults(func=_cmd_benchmark)
 
 
-def _synthetic_pairs(args):
-    pairs = []
-    for k in args.k:
-        spec = GeneratorSpec(
-            k=k,
-            n=args.n,
-            target_accuracy=args.accuracy,
-            concentration=args.concentration,
-            shift=Shift(temperature=args.temperature),
-            seed=derive_seed("gen", args.seed, k),
-        )
-        pairs.append(make_shift_pair(spec))
-    return pairs
-
-
 def _cmd_benchmark(args) -> int:
     if args.pairwise and len(set(args.methods)) < 2:
         raise AtckitError("--pairwise needs at least two distinct --methods to compare")
     if args.synthetic:
-        pairs = _synthetic_pairs(args)
+        specs = (_generator_spec(args, k, derive_seed("gen", args.seed, k)) for k in args.k)
+        pairs = [make_shift_pair(spec) for spec in specs]
     elif args.pair:
         pairs = []
         for src_path, tgt_path in args.pair:
@@ -271,13 +252,27 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- generate
 
 
+def _add_generator_flags(p) -> None:
+    p.add_argument("--accuracy", type=float, default=0.8)
+    p.add_argument("--concentration", type=float, default=8.0)
+    p.add_argument(
+        "--temperature", type=float, default=1.0,
+        help="softens (>1) or sharpens (<1) target confidences; 1 = no shift",
+    )
+
+
+def _generator_spec(args, k: int, seed: int, label_prior=None) -> GeneratorSpec:
+    return GeneratorSpec(
+        k=k, n=args.n, target_accuracy=args.accuracy, concentration=args.concentration,
+        shift=Shift(temperature=args.temperature, label_prior=label_prior), seed=seed,
+    )
+
+
 def _add_generate_parser(subparsers) -> None:
     p = subparsers.add_parser("generate", help="write a synthetic prediction dump")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--accuracy", type=float, default=0.8)
-    p.add_argument("--concentration", type=float, default=8.0)
-    p.add_argument("--temperature", type=float, default=1.0)
+    _add_generator_flags(p)
     p.add_argument("--label-prior", help="comma-separated class prior, e.g. 0.5,0.3,0.2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dump path: JSON if it ends in .json, else CSV")
@@ -291,16 +286,7 @@ def _cmd_generate(args) -> int:
             prior = tuple(float(x) for x in args.label_prior.split(","))
         except ValueError:
             raise AtckitError(f"bad --label-prior {args.label_prior!r}") from None
-    spec = GeneratorSpec(
-        k=args.k,
-        n=args.n,
-        target_accuracy=args.accuracy,
-        concentration=args.concentration,
-        shift=Shift(temperature=args.temperature, label_prior=prior),
-        seed=args.seed,
-    )
-    data = generate(spec)
-    write_dump(data, args.out)
+    write_dump(generate(_generator_spec(args, args.k, args.seed, prior)), args.out)
     print(f"wrote {args.out} ({args.n} rows, k={args.k})")
     return _EXIT_OK
 

@@ -47,7 +47,7 @@ class GeneratorSpec:
     n: int
     target_accuracy: float
     concentration: float = 8.0
-    shift: Shift | None = None
+    shift: Shift = Shift()
     seed: int = 0
 
     def __post_init__(self):
@@ -61,10 +61,12 @@ class GeneratorSpec:
         if not self.concentration > 0:
             raise InvalidArgumentError("concentration must be positive")
         check_seed(self.seed)
+        if not isinstance(self.shift, Shift):
+            raise InvalidArgumentError(f"shift must be a Shift, got {self.shift!r}")
 
 
 def _label_prior(spec: GeneratorSpec) -> np.ndarray:
-    if spec.shift is None or spec.shift.label_prior is None:
+    if spec.shift.label_prior is None:
         return np.full(spec.k, 1.0 / spec.k)
     prior = spec.shift.label_prior
     if len(prior) != spec.k:
@@ -106,40 +108,50 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> Pre
     offsets = rng.integers(1, k, size=n)
     designated = np.where(correct, labels, (labels + offsets) % k)
 
-    shapes = np.ones((n, k))
-    shapes[np.arange(n), designated] = spec.concentration
-    draws = rng.gamma(shapes)
-    probs = draws / draws.sum(axis=1, keepdims=True)
-
+    probs = _dirichlet_rows(spec, designated, rng)
     for _ in range(_MAX_REDRAWS):
         bad = np.flatnonzero(np.argmax(probs, axis=1) != designated)
         if bad.size == 0:
             break
-        redraw = rng.gamma(shapes[bad])
-        probs[bad] = redraw / redraw.sum(axis=1, keepdims=True)
+        probs[bad] = _dirichlet_rows(spec, designated[bad], rng)
     else:
         bad = np.flatnonzero(np.argmax(probs, axis=1) != designated)
         probs[bad] = _force_argmax(probs[bad], designated[bad])
 
-    if spec.shift is not None and spec.shift.temperature != 1.0:
-        probs = apply_temperature(probs, spec.shift.temperature)
-
+    # a statement of its own: the unshifted matrix is freed before validation
+    probs = apply_temperature(probs, spec.shift.temperature)
     return PredictionSet(probs, labels)
+
+
+def _dirichlet_rows(spec: GeneratorSpec, designated: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Dirichlet row per designated class: ``concentration`` there, 1 elsewhere."""
+    rows = np.ones((len(designated), spec.k))
+    rows[np.arange(len(designated)), designated] = spec.concentration
+    rows = rng.gamma(rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     """Power-scale rows by ``1/temperature`` and renormalize.
 
-    Strictly increasing on components for any positive temperature, so
-    the argmax of every row is preserved. ``temperature == 1`` returns
-    the input unchanged (bit-exact identity, no gratuitous rounding).
+    Strictly increasing on components, so every row keeps its argmax,
+    unless float64 rounding ties its top components or underflows it
+    (extreme temperatures), which raises ``InvalidArgumentError``. Never
+    writes to ``probs``; ``temperature == 1`` returns it unchanged.
     """
     if not temperature > 0:
-        raise ValueError("temperature must be positive")
+        raise InvalidArgumentError("temperature must be positive")
     if temperature == 1.0:
         return probs
     powered = probs ** (1.0 / temperature)
-    return powered / powered.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        powered /= powered.sum(axis=1, keepdims=True)
+    kept = np.isfinite(powered).all(axis=1) & (powered.argmax(axis=1) == probs.argmax(axis=1))
+    if not kept.all():
+        row = np.argmin(kept)
+        raise InvalidArgumentError(f"temperature {temperature:g}: float64 cannot keep row {row}'s argmax")
+    return powered
 
 
 def make_shift_pair(spec: GeneratorSpec) -> tuple[PredictionSet, PredictionSet]:
@@ -149,6 +161,6 @@ def make_shift_pair(spec: GeneratorSpec) -> tuple[PredictionSet, PredictionSet]:
     recipe with the spec's shift and independently drawn labels. Both
     sets are labeled so benchmark ground truth exists.
     """
-    source = generate(replace(spec, shift=None), np.random.default_rng([spec.seed, 0]))
+    source = generate(replace(spec, shift=Shift()), np.random.default_rng([spec.seed, 0]))
     target = generate(spec, np.random.default_rng([spec.seed, 1]))
     return source, target

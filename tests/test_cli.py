@@ -472,6 +472,21 @@ class TestBadFlagValues:
             shape = rows_x_k.format(size)
             assert captured.err == f"error: a {shape} float64 array exceeds the addressable size\n"
 
+    @pytest.mark.parametrize("temperature, row", [("1e16", 1), ("1e-3", 178)])
+    def test_temperature_that_loses_an_argmax_prints_one_error_and_no_warning(self, tmp_path, temperature, row):
+        # in a fresh process: pytest would catch numpy's invalid-value warning before it reached stderr
+        out = tmp_path / "x.csv"
+        src = str(Path(atckit.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "atckit.cli", "generate", "--k", "3", "--n", "2000", "--seed", "4",
+             "--temperature", temperature, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2 and not out.exists()
+        assert result.stderr == f"error: temperature {float(temperature):g}: float64 cannot keep row {row}'s argmax\n"
+
     @pytest.mark.parametrize(
         "prior, reason",
         [("0.5,0.5,nan", "non-finite component"), ("0.5,0.7,-0.2", "component below -1e-06 (-0.2)")],

@@ -41,6 +41,11 @@ DUMPS = {
     "source.csv": ["generate", "--k", "5", "--n", "300", "--seed", "1"],
     "target.csv": ["generate", "--k", "5", "--n", "300", "--temperature", "1.5", "--seed", "2"],
 }
+# the only goldens of generate's own bytes, at a temperature other than 1 and
+# with a label prior; about half the rows miss on the first draw and are redrawn
+SHIFTED = ["generate", "--k", "5", "--n", "200", "--concentration", "2",
+           "--temperature", "1.2", "--label-prior", "0.4,0.3,0.1,0.1,0.1", "--seed", "1"]
+GENERATE = {"generate-shifted.csv": SHIFTED, "generate-shifted.json": SHIFTED}
 ESTIMATE = {
     "estimate-atc-all.txt": ["--score", "all", "--boot", "10"],
     "estimate-doc-reg.txt": ["--method", "doc-reg", "--boot", "10"],
@@ -48,7 +53,7 @@ ESTIMATE = {
 }
 NAMES = (
     "benchmark-runs.csv", "benchmark-aggregate.csv", "benchmark-stdout.txt",
-    *VERIFY, *ESTIMATE,
+    *VERIFY, *ESTIMATE, *GENERATE,
 )
 
 
@@ -75,6 +80,9 @@ def record(workdir: Path) -> dict:
         out[name] = _stdout_of(argv)
     for name, argv in DUMPS.items():
         _stdout_of(argv + ["--out", str(workdir / name)])
+    for name, argv in GENERATE.items():
+        _stdout_of(argv + ["--out", str(workdir / name)])
+        out[name] = (workdir / name).read_bytes()
     pair = ["estimate", "--source", str(workdir / "source.csv"), "--target", str(workdir / "target.csv")]
     for name, flags in ESTIMATE.items():
         out[name] = _stdout_of(pair + flags)

@@ -111,6 +111,28 @@ def _odd_label(draw, lines):
         lines[at[0]][-1] = draw(st.sampled_from(["1.0", "1e0", "+1", "\u0663", "1_0", "0" * 40 + "1"]))
 
 
+def _labeled_row(draw, lines):
+    """A data line's fields, after giving an unlabeled dump a column of 0 labels; or None."""
+    if lines[0][-1] != "label":
+        lines[0].append("label")
+        for line in lines[1:]:
+            line.append("0")
+    at = _field(draw, lines)
+    return at and lines[at[0]]
+
+
+def _wide_label(draw, lines):
+    if row := _labeled_row(draw, lines):
+        # wider than the fast path's label text: numpy would cut it to zeros and read 0
+        row[-1] = "0" * 40 + "1"
+
+
+def _nul_label(draw, lines):
+    if row := _labeled_row(draw, lines):
+        # numpy would drop the NUL and read the label; int rejects it
+        row[-1] += "\x00"
+
+
 def _underscore_probability(draw, lines):
     if at := _field(draw, lines):
         lines[at[0]][0] = "1_0"
@@ -139,7 +161,7 @@ def _header_only(draw, lines):
 #: Edits of a dump's lines (lists of fields) on which the two CSV parsers may part.
 MUTATIONS = [
     _pad, _quote, _blank_line, _odd_label, _underscore_probability,
-    _trailing_comma, _missing_field, _nul, _header_only,
+    _trailing_comma, _missing_field, _nul, _header_only, _wide_label, _nul_label,
 ]
 
 

@@ -1,5 +1,7 @@
 """Synthetic generator: exact accuracy control and shift behaviour."""
 
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +36,11 @@ class TestSpecValidation:
             GeneratorSpec(k=3, n=10, target_accuracy=0.5, concentration=0.0)
         with pytest.raises(ValueError):
             Shift(temperature=0.0)
+
+    def test_shift_defaults_to_no_shift_and_must_be_a_shift(self):
+        assert GeneratorSpec(k=3, n=10, target_accuracy=0.8).shift == Shift()
+        with pytest.raises(InvalidArgumentError, match="shift must be a Shift, got None"):
+            GeneratorSpec(k=3, n=10, target_accuracy=0.8, shift=None)
 
     def test_negative_seed_named(self):
         with pytest.raises(InvalidArgumentError, match="seed must not be negative, got -5"):
@@ -82,6 +89,17 @@ class TestGenerate:
         assert true_accuracy(data).value == 1.0
         validate_matrix(data.probs, tolerance=1e-9)
 
+    def test_holds_about_two_copies_of_the_matrix(self):
+        spec = GeneratorSpec(k=1000, n=5000, target_accuracy=0.8, shift=Shift(temperature=1.2), seed=1)
+        tracemalloc.start()
+        try:
+            data = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the drawn matrix and its tempered copy; whole-set shape and draw arrays would reach 5x
+        assert peak <= 2.5 * data.probs.nbytes
+
 
 class TestTemperature:
     def test_unit_temperature_is_identity(self):
@@ -95,6 +113,21 @@ class TestTemperature:
         for temperature in (0.25, 0.8, 1.5, 4.0):
             shifted = apply_temperature(probs, temperature)
             assert np.array_equal(np.argmax(shifted, axis=1), np.argmax(probs, axis=1))
+
+    # seed 4 at k = 3: 1e16 ties top components in 245 of 2000 rows, 1e-3 underflows row 178
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temperature", [1e16, 1e-3])
+    def test_temperature_that_loses_an_argmax_is_rejected(self, temperature):
+        spec = GeneratorSpec(k=3, n=2000, target_accuracy=0.8, shift=Shift(temperature), seed=4)
+        message = re.escape(f"temperature {temperature:g}: float64 cannot keep row")
+        with pytest.raises(InvalidArgumentError, match=message):
+            generate(spec)
+
+    def test_leaves_its_input_unchanged(self):
+        probs = np.random.default_rng(2).dirichlet(np.ones(4), size=50)
+        before = probs.copy()
+        apply_temperature(probs, 1.7)
+        assert np.array_equal(probs, before)
 
     def test_softening_lowers_mean_confidence(self):
         spec = GeneratorSpec(
