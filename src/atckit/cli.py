@@ -26,6 +26,9 @@ from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
+    _kernels,
+    _load_summaries,
+    _score_summaries,
     aggregate,
     bootstrap_estimates,
     derive_seed,
@@ -33,7 +36,6 @@ from .harness import (
     pairwise_difference_report,
     rank_methods,
     run_benchmark_suite,
-    score_once,
     summarize,
     write_aggregate_csv,
     write_runs_csv,
@@ -74,18 +76,18 @@ def _add_estimate_parser(subparsers) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    source = load_dump(args.source, renormalize=not args.strict_sums)
-    target = load_dump(args.target, renormalize=not args.strict_sums)
-    if source.labels is None:
-        raise MissingLabelsError("estimate needs a labeled source dump")
-    convention = Convention(args.convention)
-
     if args.method == "atc":
         methods = SCORE_IDS if args.score == "all" else (args.score,)
     else:
         methods = (args.method,)
+    source, target = _load_summaries(
+        args.source, args.target, _kernels(methods), renormalize=not args.strict_sums
+    )
+    if source.labels is None:
+        raise MissingLabelsError("estimate needs a labeled source dump")
+    convention = Convention(args.convention)
 
-    estimate = score_once(source, target, methods, args.calibration_sets)
+    estimate = _score_summaries(source, target, methods, args.calibration_sets)
     boot = bootstrap_estimates(estimate, source, args.boot, args.seed)
     for method, point in estimate(slice(None), args.seed).items():
         label = f"atc-{method}" if method in SCORE_IDS else method

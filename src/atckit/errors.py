@@ -27,7 +27,10 @@ class NotOnSimplexError(AtckitError):
 
     def __init__(self, row: int, detail: str, where: str = ""):
         super().__init__(f"{where or f'row {row}'}: {detail}")
-        self.row, self.detail = row, detail
+        self.row, self.detail, self._where = row, detail, where
+
+    def __reduce__(self):  # pickle rebuilds from these, not from the one-message ``args``
+        return type(self), (self.row, self.detail, self._where)
 
 
 class MissingLabelsError(AtckitError):

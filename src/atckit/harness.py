@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ import numpy as np
 from .atc import _best_candidate
 from .doc import check_calibration, doc_accuracy
 from .errors import EmptyInputError, InvalidArgumentError
+from .io import load_dump
 from .scores import SCORE_IDS, ScoreFunction, score_batch
 from .simplex import (
     Convention,
@@ -57,6 +60,11 @@ DOC_REG_CALIBRATION_SETS = 10
 
 #: Decimal places a mean error is rounded to before methods are ranked.
 RANK_DECIMALS = 10
+
+#: Source dumps smaller than this are read in turn with the target, in
+#: process. A forked worker costs about 6 ms, and on a 2-CPU host it
+#: broke even at 330-530 KB of CSV, depending on the class count.
+_FORK_MIN_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,106 @@ def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     return data.subset(idx)
 
 
+@dataclass(frozen=True)
+class _Summary:
+    """All the engine reads of a prediction set: per row, the true label
+    (None for an unlabeled set), the argmax and one score per kernel."""
+
+    k: int
+    labels: np.ndarray | None
+    predicted: np.ndarray
+    scores: dict  # {ScoreFunction: float64 vector}
+
+    def __len__(self) -> int:
+        return self.predicted.size
+
+
+def _kernels(methods) -> tuple:
+    """The score functions ``methods`` read, once each: an ATC method its
+    own, DoC and ``doc-reg`` max-confidence."""
+    return tuple(dict.fromkeys(ScoreFunction(m if m in SCORE_IDS else "max") for m in methods))
+
+
+def _summarize(data: PredictionSet, kernels) -> _Summary:
+    return _Summary(data.k, data.labels, data.predicted_labels, {fn: score_batch(data, fn) for fn in kernels})
+
+
+def _fork_pays(path) -> bool:
+    """Whether to read ``path`` in a forked worker: the host can fork, this
+    process may run on two CPUs or more, and the file is at least
+    :data:`_FORK_MIN_BYTES` long."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and os.path.getsize(path) >= _FORK_MIN_BYTES
+    except OSError:  # loading the file reports what is wrong with it
+        return False
+
+
+def _load_summaries(source_path, target_path, kernels, renormalize: bool = True):
+    """The :func:`_summarize` of ``load_dump`` of each dump, source first.
+
+    When :func:`_fork_pays` for the source, a forked worker builds its
+    summary while this process builds the target's, and only the summary,
+    or the error the worker met, comes back through a pipe. Either way
+    the results and errors are those of loading the source and then the
+    target: a source error is raised before a target error, and the
+    worker is reaped before this returns or raises.
+    """
+    def summary(path):
+        return _summarize(load_dump(path, renormalize), kernels)
+
+    if not _fork_pays(source_path):
+        return summary(source_path), summary(target_path)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: read the dumps in turn
+        os.close(read_fd)
+        os.close(write_fd)
+        return summary(source_path), summary(target_path)
+    if pid == 0:  # the worker: send the source's summary or its error, then exit at once
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = summary(source_path)
+            except Exception as exc:  # the parent raises it in its own place
+                outcome = exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        target = summary(target_path)
+    except BaseException:
+        _join(pid, read_fd, source_path)  # raises a source error, which comes first
+        raise
+    return _join(pid, read_fd, source_path), target
+
+
+def _join(pid: int, read_fd: int, path):
+    """Reap the worker of :func:`_load_summaries`; the summary it sent, or raise its error."""
+    with open(read_fd, "rb") as pipe:
+        payload = pipe.read()  # to the end, so the worker never blocks on a full pipe
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ChildProcessError(f"{path}: the worker reading it exited with status {status}")
+    outcome = pickle.loads(payload)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def score_once(
     source: PredictionSet,
     target: PredictionSet,
     methods,
     calibration_sets: int = DOC_REG_CALIBRATION_SETS,
 ):
-    """Check the inputs, score both sets once per distinct score function.
+    """Score both sets once per distinct score function, then check the inputs.
 
     Returns ``estimate(idx, seed) -> {method: MetricValue}``: each
     method's target estimate with ``source.subset(idx)`` as the source
@@ -138,7 +239,13 @@ def score_once(
     as ``bootstrap_calibration`` does. Every score works row by row, so
     the subset's scores are ``scores[idx]`` and no subset is built.
     """
-    for method in methods:  # the errors raised before any row is read
+    kernels = _kernels(methods)
+    return _score_summaries(_summarize(source, kernels), _summarize(target, kernels), methods, calibration_sets)
+
+
+def _score_summaries(source: _Summary, target: _Summary, methods, calibration_sets: int):
+    """:func:`score_once` on the sets' summaries, which hold ``_kernels(methods)``."""
+    for method in methods:  # the errors raised before any estimate is made
         if method not in CANONICAL_METHODS:
             raise InvalidArgumentError(f"unknown method {method!r}")
         if method == "doc-reg":
@@ -146,19 +253,17 @@ def score_once(
         check_estimation_pair(source, target, "ATC" if method in SCORE_IDS else "DoC")
 
     methods = tuple(dict.fromkeys(methods))
-    kernels = dict.fromkeys(ScoreFunction(m if m in SCORE_IDS else "max") for m in methods)
-    scored = {fn: (score_batch(source, fn), score_batch(target, fn)) for fn in kernels}
-    correct = source.predicted_labels == source.labels
-    if ScoreFunction.MAX_CONF in scored:
-        source_max, target_max = scored[ScoreFunction.MAX_CONF]
-        target_conf = float(np.mean(target_max))
+    correct = source.predicted == source.labels
+    if ScoreFunction.MAX_CONF in source.scores:
+        source_max = source.scores[ScoreFunction.MAX_CONF]
+        target_conf = float(np.mean(target.scores[ScoreFunction.MAX_CONF]))
 
     # ATC kernels with equal ranks and equal target counts share a group
     groups: list = []  # (ranks, target count below each candidate, methods)
     for method in (m for m in methods if m in SCORE_IDS):
-        source_scores, target_scores = scored[ScoreFunction(method)]
-        uniq, ranks = np.unique(source_scores, return_inverse=True)
-        below = np.searchsorted(np.sort(target_scores), np.append(uniq, np.inf), side="left")
+        fn = ScoreFunction(method)
+        uniq, ranks = np.unique(source.scores[fn], return_inverse=True)
+        below = np.searchsorted(np.sort(target.scores[fn]), np.append(uniq, np.inf), side="left")
         for group in groups:
             if np.array_equal(group[0], ranks) and np.array_equal(group[1], below):
                 group[2].append(method)
@@ -201,7 +306,9 @@ def bootstrap_estimates(estimate, source: PredictionSet, n_boot: int, master_see
     ``estimate`` comes from :func:`score_once`. Run ``i`` passes it the
     seed ``derive_seed(master_seed, source.k, i)`` and the index vector
     drawn from that seed, so methods are compared on identical resamples
-    and order-equivalent scores give equal per-run estimates.
+    and order-equivalent scores give equal per-run estimates. Only
+    ``source.k`` and ``len(source)`` are read, so the CLI passes the
+    source's summary in place of the set.
     """
     if n_boot < 0:
         raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")

@@ -196,6 +196,171 @@ class TestEstimate:
         assert len(err.encode()) < 200
 
 
+#: Runs the CLI in a fresh process with the source always read by a forked worker,
+#: then exits 99 if any child of that process is left unreaped.
+_FORKED_CLI = (
+    "import os, sys, atckit.harness\n"
+    "atckit.harness._fork_pays = lambda path: True\n"
+    "from atckit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "except ChildProcessError:\n"
+    "    sys.exit(code)\n"
+    "sys.exit(99)\n"
+)
+
+_ESTIMATE_FLAGS = [
+    ["--score", "all"],
+    *(["--score", s] for s in atckit.SCORE_IDS),
+    ["--method", "doc"],
+    ["--method", "doc-reg"],
+    ["--boot", "3"],
+    ["--strict-sums"],
+    ["--convention", "error"],
+]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEstimateWorker:
+    """``estimate`` reads the source in a forked worker or in process, with the same outcome."""
+
+    @staticmethod
+    def _run(monkeypatch, capsys, fork, argv):
+        """Exit code, stdout and stderr of ``main(argv)``, and how many workers it forked.
+
+        Undoes every patch of the calling test once ``main`` returns.
+        """
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(atckit.harness, "_fork_pays", lambda path: fork)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        code = main(argv)
+        captured = capsys.readouterr()
+        monkeypatch.undo()
+        _no_child_left()
+        return code, captured.out, captured.err, len(forks)
+
+    @pytest.mark.parametrize("flags", _ESTIMATE_FLAGS, ids=lambda f: "".join(f))
+    @pytest.mark.parametrize("k", [2, 3, 1000])
+    def test_stdout_is_byte_identical_either_way(self, tmp_path, monkeypatch, capsys, k, flags):
+        src, tgt = _write_pair(tmp_path, k=k, n=60, seed=k)
+        argv = ["estimate", "--source", str(src), "--target", str(tgt), "--seed", "5", *flags]
+        forked = self._run(monkeypatch, capsys, True, argv)
+        in_process = self._run(monkeypatch, capsys, False, argv)
+        assert forked[3] == 1 and in_process[3] == 0
+        assert forked[:3] == in_process[:3]
+        assert forked[0] == 0 and forked[1]
+
+    @staticmethod
+    def _precedence_case(tmp_path, case):
+        """(argv, the stderr that ``estimate`` prints) for one input fault."""
+        good, _ = _write_pair(tmp_path)
+        bad_source, bad_target = tmp_path / "bad-source.csv", tmp_path / "bad-target.csv"
+        bad_source.write_text("p0,p1,label\n0.9,0.1,0\n0.7,0.7,1\n")
+        bad_target.write_text("p0,p1\n0.5,0.5\n0.5,0.5\nx,0.5\n")
+        target_error = f"error: {bad_target}: line 4: could not convert string to float: 'x'\n"
+        if case == "both-bad":
+            paths, err = (bad_source, bad_target), (
+                f"error: {bad_source}: line 3: components sum to 1.4, further than 1e-06 from 1\n"
+            )
+        elif case == "target-bad":
+            paths, err = (good, bad_target), target_error
+        elif case == "unlabeled-source-bad-target":
+            unlabeled = tmp_path / "unlabeled.csv"
+            write_dump(atckit.PredictionSet(load_dump(good).probs), unlabeled)
+            paths, err = (unlabeled, bad_target), target_error
+        else:
+            (tmp_path / "k3").mkdir()
+            other_k, _ = _write_pair(tmp_path / "k3", k=3)
+            paths, err = (good, other_k), "error: source has k=2 classes but target has k=3\n"
+        return ["estimate", "--source", str(paths[0]), "--target", str(paths[1])], err
+
+    _CASES = ["both-bad", "target-bad", "unlabeled-source-bad-target", "k-mismatch"]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("case", _CASES)
+    def test_error_precedence(self, tmp_path, monkeypatch, capsys, case, fork):
+        argv, err = self._precedence_case(tmp_path, case)
+        assert self._run(monkeypatch, capsys, fork, argv) == (2, "", err, int(fork))
+
+    @staticmethod
+    def _run_fresh(argv):
+        """``atckit`` with the worker forced, in a fresh process that exits 99 on a child left over."""
+        src = str(Path(atckit.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", _FORKED_CLI, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_error_is_one_line_in_a_fresh_process(self, tmp_path, case):
+        argv, err = self._precedence_case(tmp_path, case)
+        result = self._run_fresh(argv)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+    def test_success_in_a_fresh_process_leaves_no_worker(self, tmp_path):
+        src, tgt = _write_pair(tmp_path, k=3)
+        result = self._run_fresh(["estimate", "--source", str(src), "--target", str(tgt)])
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 6
+
+    def test_worker_that_dies_is_an_input_error_naming_the_source(self, tmp_path, monkeypatch, capsys):
+        src, tgt = _write_pair(tmp_path)
+        real_load, parent = atckit.harness.load_dump, os.getpid()
+
+        def load_or_die(path, renormalize=True):
+            if os.getpid() != parent:  # the worker, which reads the source
+                os._exit(3)
+            return real_load(path, renormalize)
+
+        monkeypatch.setattr(atckit.harness, "load_dump", load_or_die)
+        code, out, err, forks = self._run(
+            monkeypatch, capsys, True, ["estimate", "--source", str(src), "--target", str(tgt)]
+        )
+        assert (code, out, forks) == (2, "", 1)
+        assert err == f"error: {src}: the worker reading it exited with status 3\n"
+
+    def test_no_process_to_spare_reads_in_turn(self, tmp_path, monkeypatch, capsys):
+        src, tgt = _write_pair(tmp_path, k=3)
+        argv = ["estimate", "--source", str(src), "--target", str(tgt)]
+        expected = self._run(monkeypatch, capsys, False, argv)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(atckit.harness, "_fork_pays", lambda path: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(argv) == expected[0] == 0
+        assert capsys.readouterr().out == expected[1]
+
+    def test_forks_only_when_it_pays(self, tmp_path, monkeypatch):
+        from atckit.harness import _FORK_MIN_BYTES, _fork_pays
+
+        small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+        small.write_bytes(b"x" * (_FORK_MIN_BYTES - 1))
+        big.write_bytes(b"x" * _FORK_MIN_BYTES)
+        assert not _fork_pays(small) and not _fork_pays(tmp_path / "missing.csv")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _fork_pays(big)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not _fork_pays(big)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert not _fork_pays(big)
+
+
 class TestBenchmark:
     def test_synthetic_shape_contract(self, tmp_path, capsys):
         out = tmp_path / "results"

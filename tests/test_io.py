@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from atckit import (
@@ -613,6 +613,26 @@ class TestCsvFastPath:
                 slow = validate_matrix(probs, tolerance)
                 assert fast.probs.shape == slow.shape and fast.probs.tobytes() == slow.tobytes()
                 assert fast.labels is None if labels is None else fast.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("edit", MUTATIONS, ids=lambda edit: edit.__name__)
+    def test_each_edit_alone_equals_line_parser_or_defers(self, tmp_path, edit, labeled):
+        # every edit once, whatever hypothesis draws above: each draw takes its simplest choice
+        data = PredictionSet([[0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]], [0, 1, 2] if labeled else None)
+        path = tmp_path / "d.csv"
+        write_dump(data, path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        edit(lambda strategy: find(strategy, lambda _: True, settings=settings(database=None)), lines)
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8", newline="")
+        fast = _load_csv_fast(path, SUM_TOLERANCE)
+        if edit in (_wide_label, _nul_label):
+            assert fast is None
+        if edit is _pad:
+            assert fast is not None
+        if fast is not None:
+            probs, labels, _ = _read_csv(path)
+            assert fast.probs.tobytes() == validate_matrix(probs).tobytes()
+            assert fast.labels is None if labels is None else fast.labels.tolist() == labels.tolist()
 
     def test_takes_a_wide_dump_with_the_same_bits(self, tmp_path):
         data = generate(GeneratorSpec(k=1000, n=20, target_accuracy=0.7, seed=3))
