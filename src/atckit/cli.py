@@ -21,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import _blas  # noqa: F401  (before numpy loads: one BLAS thread)
 from .errors import AtckitError, MissingLabelsError
 from .harness import (
     CANONICAL_METHODS,

@@ -1,7 +1,9 @@
 """Golden outputs: the CLI reproduces recorded files and stdout byte for byte.
 
 Runs a fixed set of commands in-process through ``atckit.cli.main`` and
-compares every output with the copy recorded under ``tests/golden/``.
+compares every output with the copy recorded under ``tests/golden/``. The
+benchmark and the ``doc-reg`` estimate, the outputs that reach LAPACK, are
+also run through ``python -m atckit.cli`` in fresh processes.
 Regenerate the recordings only for an intentional output change, with
 ``PYTHONPATH=src python tests/test_golden.py``, and say why in the change
 log.
@@ -9,12 +11,15 @@ log.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import atckit
 from atckit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,25 +70,45 @@ def _stdout_of(argv) -> bytes:
     return buffer.getvalue().encode()
 
 
+def _fresh_stdout_of(argv) -> bytes:
+    """``python -m atckit.cli`` in a fresh process, which loads numpy itself."""
+    src = str(Path(atckit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run(
+        [sys.executable, "-m", "atckit.cli", *argv], capture_output=True, env={**env, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, f"{argv} exited {result.returncode}: {result.stderr.decode()}"
+    return result.stdout
+
+
+def _record_benchmark(run, workdir: Path) -> dict:
+    bench_dir = workdir / "benchmark"
+    stdout = run(BENCHMARK + ["--out-dir", str(bench_dir)])
+    return {
+        # the last line names the output directory, which differs per run
+        "benchmark-stdout.txt": b"".join(
+            line for line in stdout.splitlines(keepends=True) if not line.startswith(b"wrote ")
+        ),
+        "benchmark-runs.csv": (bench_dir / "runs.csv").read_bytes(),
+        "benchmark-aggregate.csv": (bench_dir / "aggregate.csv").read_bytes(),
+    }
+
+
+def _estimate_pair(run, workdir: Path) -> list:
+    for name, argv in DUMPS.items():
+        run(argv + ["--out", str(workdir / name)])
+    return ["estimate", "--source", str(workdir / "source.csv"), "--target", str(workdir / "target.csv")]
+
+
 def record(workdir: Path) -> dict:
     """Run every golden command under ``workdir``; output name -> bytes."""
-    out = {}
-    bench_dir = workdir / "benchmark"
-    stdout = _stdout_of(BENCHMARK + ["--out-dir", str(bench_dir)])
-    # the last line names the output directory, which differs per run
-    out["benchmark-stdout.txt"] = b"".join(
-        line for line in stdout.splitlines(keepends=True) if not line.startswith(b"wrote ")
-    )
-    out["benchmark-runs.csv"] = (bench_dir / "runs.csv").read_bytes()
-    out["benchmark-aggregate.csv"] = (bench_dir / "aggregate.csv").read_bytes()
+    out = _record_benchmark(_stdout_of, workdir)
     for name, argv in VERIFY.items():
         out[name] = _stdout_of(argv)
-    for name, argv in DUMPS.items():
-        _stdout_of(argv + ["--out", str(workdir / name)])
     for name, argv in GENERATE.items():
         _stdout_of(argv + ["--out", str(workdir / name)])
         out[name] = (workdir / name).read_bytes()
-    pair = ["estimate", "--source", str(workdir / "source.csv"), "--target", str(workdir / "target.csv")]
+    pair = _estimate_pair(_stdout_of, workdir)
     for name, flags in ESTIMATE.items():
         out[name] = _stdout_of(pair + flags)
     return out
@@ -97,6 +122,14 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", NAMES)
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+def test_fresh_cli_process_matches_golden(tmp_path):
+    # pytest has loaded numpy with its full BLAS thread pool; the CLI loads it with one
+    out = _record_benchmark(_fresh_stdout_of, tmp_path)
+    pair = _estimate_pair(_fresh_stdout_of, tmp_path)
+    out["estimate-doc-reg.txt"] = _fresh_stdout_of(pair + ESTIMATE["estimate-doc-reg.txt"])
+    assert out == {name: (GOLDEN / name).read_bytes() for name in out}
 
 
 if __name__ == "__main__":
