@@ -32,9 +32,7 @@ class ThresholdModel:
     """A learned score threshold together with how well it fits.
 
     ``achieved_source_proportion`` is the below-threshold fraction the
-    selected candidate actually attains on the source scores; re-scanning
-    the candidates must reproduce it as the minimizer of
-    ``|source error - proportion|``.
+    threshold attains on the source scores.
     """
 
     threshold: float
@@ -62,65 +60,66 @@ class AtcEstimate:
         return self.target_value.error
 
 
-def _as_error_value(gamma: MetricValue | float) -> float:
-    if isinstance(gamma, MetricValue):
-        return gamma.error
-    value = float(gamma)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"source metric {value!r} outside [0, 1]")
-    return value
+def _source_scores(values) -> np.ndarray:
+    scores = np.asarray(values, dtype=np.float64).ravel()
+    if scores.size == 0:
+        raise EmptyInputError("cannot learn a threshold from zero scores")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("source scores must be finite")
+    return scores
 
 
-def _best_candidate(counts, gamma: float) -> tuple[int, float]:
-    """The threshold rule on per-candidate counts: ``(index, proportion)``.
+def _target_scores(values) -> np.ndarray:
+    scores = np.asarray(values, dtype=np.float64).ravel()
+    if scores.size == 0:
+        raise EmptyInputError("cannot estimate from zero target scores")
+    if np.any(np.isnan(scores)):
+        raise ValueError("target scores must not contain NaN")
+    return scores
 
-    ``counts[i]`` is how many scores equal the i-th smallest candidate
-    value; only values with a non-zero count are candidates. A
-    candidate's proportion is the fraction of scores strictly below it,
-    and the sentinel after the last candidate has proportion 1. The first
-    candidate nearest ``gamma`` wins, so ties go to the smallest
-    threshold. ``index`` is ``len(counts)`` when the sentinel wins.
-    """
+
+def _rank(source_scores, target_scores):
+    """The rule's rank step: ``(candidates, ranks, below)``. ``candidates``
+    are the distinct source scores ascending, then the sentinel; ``ranks``
+    gives each source row's index among them, and ``below`` the target
+    count strictly below each candidate."""
+    uniq, ranks = np.unique(source_scores, return_inverse=True)
+    candidates = np.append(uniq, np.inf)
+    return candidates, ranks, np.searchsorted(np.sort(target_scores), candidates, side="left")
+
+
+def _pick(candidates, ranks, below, idx, gamma: float) -> tuple[float, float, int]:
+    """The rule's pick step on source rows ``idx``: ``(threshold, proportion,
+    below)``, where ``below`` is the target count strictly below the threshold.
+    Only the scores of ``idx`` and the sentinel are candidates."""
+    counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
     total = np.cumsum(counts)
     kept = np.flatnonzero(counts)
     proportions = np.append((total[kept] - counts[kept]) / total[-1], 1.0)
     best = int(np.argmin(np.abs(gamma - proportions)))  # first hit = smallest t
-    index = int(kept[best]) if best < kept.size else len(counts)
-    return index, float(proportions[best])
+    index = kept[best] if best < kept.size else counts.size
+    return float(candidates[index]), float(proportions[best]), int(below[index])
 
 
 def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdModel:
     """Pick the threshold whose below-threshold fraction best matches ``gamma_s``.
 
     ``gamma_s`` is interpreted in the error convention (a bare float is
-    taken as an error rate). The distinct scores are counted in
-    O(n log n) and handed to ``_best_candidate``, the one candidate rule
-    that the bootstrap engine also applies to its resample counts; the
-    result is identical to the naive quadratic scan over all candidates.
+    taken as an error rate). The rule that :func:`atc_estimate` and the
+    bootstrap engine apply finds it in O(n log n), identical to the naive
+    quadratic scan over all candidates.
     """
-    scores = np.asarray(source_scores, dtype=np.float64).ravel()
-    if scores.size == 0:
-        raise EmptyInputError("cannot learn a threshold from zero scores")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("source scores must be finite")
-    gamma = _as_error_value(gamma_s)
-
-    uniq, counts = np.unique(scores, return_counts=True)
-    index, proportion = _best_candidate(counts, gamma)
-    return ThresholdModel(
-        threshold=float(uniq[index]) if index < uniq.size else np.inf,
-        source_metric=MetricValue(gamma, Convention.ERROR),
-        achieved_source_proportion=proportion,
-    )
+    scores = _source_scores(source_scores)
+    gamma = gamma_s.error if isinstance(gamma_s, MetricValue) else float(gamma_s)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"source metric {gamma!r} outside [0, 1]")
+    threshold, proportion, _ = _pick(*_rank(scores, ()), slice(None), gamma)
+    return ThresholdModel(threshold, MetricValue(gamma, Convention.ERROR), proportion)
 
 
 def estimate_target(model: ThresholdModel, target_scores) -> MetricValue:
     """Below-threshold fraction of the target scores, in error convention."""
-    scores = np.asarray(target_scores, dtype=np.float64).ravel()
-    if scores.size == 0:
-        raise EmptyInputError("cannot estimate from zero target scores")
-    if np.any(np.isnan(scores)):
-        raise ValueError("target scores must not contain NaN")
+    scores = _target_scores(target_scores)
     value = float(np.count_nonzero(scores < model.threshold)) / scores.size
     return MetricValue(value, Convention.ERROR)
 
@@ -134,5 +133,8 @@ def atc_estimate(source: PredictionSet, target: PredictionSet, fn: Scorer) -> At
     """
     check_estimation_pair(source, target, "ATC")
     gamma_s = true_accuracy(source).converted(Convention.ERROR)
-    model = learn_threshold(score_batch(source, fn), gamma_s)
-    return AtcEstimate(model=model, target_value=estimate_target(model, score_batch(target, fn)))
+    source_scores = _source_scores(score_batch(source, fn))  # checked before the target is scored
+    target_scores = _target_scores(score_batch(target, fn))
+    threshold, proportion, below = _pick(*_rank(source_scores, target_scores), slice(None), gamma_s.error)
+    model = ThresholdModel(threshold, gamma_s, proportion)
+    return AtcEstimate(model, MetricValue(below / target_scores.size, Convention.ERROR))

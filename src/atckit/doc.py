@@ -55,10 +55,9 @@ def bootstrap_calibration(
 ) -> list[tuple[PredictionSet, MetricValue]]:
     """Calibration sets built as with-replacement resamples of ``source``.
 
-    ``doc-reg``'s calibration built set by set, the reference that
-    ``tests/per_set_reference.py`` holds the engine to. The harness and
-    the CLI draw it inside ``harness.score_once``, which reproduces it
-    bit for bit.
+    ``doc-reg``'s calibration built set by set, which the DoC half of
+    ``tests/per_set_reference.py`` uses. ``harness.score_once`` draws the
+    same resamples as index blocks and keeps only each one's summary.
     """
     check_calibration(source, n_sets)
     check_seed(seed)

@@ -17,13 +17,12 @@ stable hash, never drawn from a shared stream, so runs may execute in
 any order or in parallel and still reproduce bit-identically.
 
 A run never rescores or sorts. Each set is scored once per score
-function; ATC then needs only each source row's rank among the distinct
-source scores and, per rank, the count of target scores below it, both
-computed once. A run counts its resample's ranks with ``bincount`` and
-applies ATC's candidate rule to the counts. ATC depends only on the
-ordering a score induces, so kernels whose ranks and target counts are
-equal give the same estimate in every run and share it: at k = 2 one
-computation serves all six.
+function, and ATC's rank step (``atc._rank``) runs once per kernel. A run
+then applies only the pick step (``atc._pick``) to its resample, the
+rule that ``learn_threshold`` and ``atc_estimate`` apply to a whole set.
+ATC depends only on the ordering a score induces, so kernels whose ranks
+and target counts are equal give the same estimate in every run and
+share it: at k = 2 one computation serves all six.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atc import _best_candidate
+from .atc import _pick, _rank
 from .doc import check_calibration, doc_accuracy
 from .errors import EmptyInputError, InvalidArgumentError
 from .io import load_dump
@@ -259,27 +258,25 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
         target_conf = float(np.mean(target.scores[ScoreFunction.MAX_CONF]))
 
     # ATC kernels with equal ranks and equal target counts share a group
-    groups: list = []  # (ranks, target count below each candidate, methods)
+    groups: list = []  # (the kernel's _rank, methods)
     for method in (m for m in methods if m in SCORE_IDS):
         fn = ScoreFunction(method)
-        uniq, ranks = np.unique(source.scores[fn], return_inverse=True)
-        below = np.searchsorted(np.sort(target.scores[fn]), np.append(uniq, np.inf), side="left")
-        for group in groups:
-            if np.array_equal(group[0], ranks) and np.array_equal(group[1], below):
-                group[2].append(method)
+        ranked = _rank(source.scores[fn], target.scores[fn])
+        for group in groups:  # thresholds may differ; the runs read only ranks and counts
+            if all(map(np.array_equal, group[0][1:], ranked[1:])):
+                group[1].append(method)
                 break
         else:
-            groups.append((ranks, below, [method]))
+            groups.append((ranked, [method]))
 
     def estimate(idx, seed) -> dict:
         hits = correct[idx]
         accuracy = float(np.mean(hits))
         error = 1.0 - accuracy
         atc = {}
-        for ranks, below, members in groups:
-            index, _ = _best_candidate(np.bincount(ranks[idx], minlength=below.size - 1), error)
-            value = MetricValue(float(below[index]) / len(target), Convention.ERROR)
-            atc.update(dict.fromkeys(members, value))
+        for ranked, members in groups:
+            below = _pick(*ranked, idx, error)[2]
+            atc.update(dict.fromkeys(members, MetricValue(below / len(target), Convention.ERROR)))
         values = {}
         for method in methods:
             if method in atc:

@@ -1,16 +1,39 @@
 """The per-set estimation path that the score-once engine is checked against.
 
-``estimate_metric`` runs each method's public estimator on whole
-prediction sets: ``atc_estimate`` and ``doc_estimate`` score the sets they
-are given, and ``doc-reg`` builds its calibration sets with
-``bootstrap_calibration``. It never calls ``atckit.harness.score_once``,
-so the engine's estimates and input errors can be held to it bit for bit.
+``estimate_metric`` estimates one method on whole prediction sets. Its
+ATC half shares no code with the package's threshold rule, which the
+engine, ``learn_threshold`` and ``atc_estimate`` all apply: it learns the
+threshold with ``oracles.naive_learn_threshold`` and counts the target
+scores strictly below it in a plain loop. Its DoC half runs the public
+``doc_estimate``, with ``doc-reg``'s calibration sets built by
+``bootstrap_calibration``. The engine's DoC arithmetic, ``doc_accuracy``,
+is the one ``doc_estimate`` applies, and ``tests/test_doc.py`` holds it to
+``oracles.doc_regression_reference``. Nothing here calls
+``atckit.harness.score_once``, so the engine's estimates and input errors
+can be held to this path bit for bit.
 """
 
-from atckit import ScoreFunction, atc_estimate, bootstrap_calibration, doc_estimate
+from atckit import ScoreFunction, bootstrap_calibration, doc_estimate
 from atckit.errors import InvalidArgumentError
 from atckit.harness import DOC_REG_CALIBRATION_SETS
-from atckit.scores import SCORE_IDS
+from atckit.scores import SCORE_IDS, score_batch
+from atckit.simplex import Convention, MetricValue, check_estimation_pair
+
+from oracles import naive_learn_threshold
+
+
+def _atc_reference(source, target, fn):
+    """ATC's target error: the naive threshold scan, then a strict count."""
+    check_estimation_pair(source, target, "ATC")
+    correct = 0
+    for predicted, label in zip(source.predicted_labels.tolist(), source.labels.tolist()):
+        correct += predicted == label
+    threshold, _ = naive_learn_threshold(score_batch(source, fn).tolist(), 1.0 - correct / len(source))
+    below = 0
+    for s in score_batch(target, fn).tolist():
+        if s < threshold:
+            below += 1
+    return MetricValue(below / len(target), Convention.ERROR)
 
 
 def estimate_metric(method, source, target, seed, calibration_sets=DOC_REG_CALIBRATION_SETS):
@@ -20,7 +43,7 @@ def estimate_metric(method, source, target, seed, calibration_sets=DOC_REG_CALIB
     resamples of ``source`` are drawn from ``[seed, 1]``.
     """
     if method in SCORE_IDS:
-        return atc_estimate(source, target, ScoreFunction(method)).target_value
+        return _atc_reference(source, target, ScoreFunction(method))
     if method == "doc":
         return doc_estimate(source, target)
     if method == "doc-reg":

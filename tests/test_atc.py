@@ -25,6 +25,7 @@ from atckit import (
 from atckit.simplex import Convention
 
 from oracles import naive_learn_threshold
+from test_harness import _tied_pair
 
 
 class TestLearnThreshold:
@@ -202,3 +203,57 @@ class TestAtcEstimate:
         source, target = _pair(3, seed=4)
         est = atc_estimate(source, target, ScoreFunction.MAX_CONF)
         assert est.accuracy + est.error == 1.0
+
+    @pytest.mark.parametrize(
+        "side, bad, message",
+        [
+            ("source", float("nan"), "source scores must be finite"),
+            ("source", float("inf"), "source scores must be finite"),
+            ("source", -float("inf"), "source scores must be finite"),
+            ("target", float("nan"), "target scores must not contain NaN"),
+        ],
+        ids=["source-nan", "source-inf", "source-neg-inf", "target-nan"],
+    )
+    def test_non_finite_scores_rejected(self, side, bad, message):
+        source = PredictionSet([[0.9, 0.1], [0.4, 0.6], [0.7, 0.3]], labels=[0, 1, 1])
+        target = PredictionSet([[0.6, 0.4], [0.2, 0.8]])
+        rows = len(source) if side == "source" else len(target)
+
+        def scorer(probs):
+            scores = probs[:, 0].copy()
+            if len(probs) == rows:
+                scores[1] = bad
+            return scores
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            atc_estimate(source, target, scorer)
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+_SCORERS = st.one_of(
+    st.sampled_from(tuple(ScoreFunction)),
+    st.builds(MonotoneTransform.affine, st.sampled_from(tuple(ScoreFunction)), st.just(3.0), st.just(-1.0)),
+    st.builds(MonotoneTransform.odd_power, st.sampled_from(tuple(ScoreFunction)), st.just(3)),
+    st.just(lambda probs: np.round(probs[:, 0], 1)),  # a plain callable with many ties
+)
+
+
+class TestOneRule:
+    @given(_tied_pair(), _SCORERS)
+    @settings(max_examples=150, deadline=None)
+    def test_public_views_agree_with_each_other_and_the_naive_scan(self, pair, fn):
+        source, target = pair
+        gamma = true_accuracy(source).error
+        source_scores, target_scores = score_batch(source, fn), score_batch(target, fn)
+        est = atc_estimate(source, target, fn)
+        model = learn_threshold(source_scores, gamma)
+        value = estimate_target(model, target_scores)
+        t, prop = naive_learn_threshold(source_scores.tolist(), gamma)
+        below = sum(1 for s in target_scores.tolist() if s < t)
+        expected = _bits(t, prop, below / len(target))
+        assert _bits(est.model.threshold, est.model.achieved_source_proportion, est.error) == expected
+        assert _bits(model.threshold, model.achieved_source_proportion, value.error) == expected
+        assert est.model.source_metric == model.source_metric == MetricValue(gamma, Convention.ERROR)

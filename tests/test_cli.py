@@ -293,6 +293,20 @@ class TestEstimateWorker:
         argv, err = self._precedence_case(tmp_path, case)
         assert self._run(monkeypatch, capsys, fork, argv) == (2, "", err, int(fork))
 
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    def test_strict_sums_reaches_the_source_load(self, tmp_path, monkeypatch, capsys, fork):
+        # a source row 1e-7 off is repaired by default and rejected under --strict-sums
+        _, tgt = _write_pair(tmp_path)
+        src = tmp_path / "off.csv"
+        src.write_text("p0,p1,label\n0.5000001,0.5,0\n0.2,0.8,1\n0.7,0.3,0\n")
+        argv = ["estimate", "--source", str(src), "--target", str(tgt)]
+        code, out, err, forks = self._run(monkeypatch, capsys, fork, [*argv, "--strict-sums"])
+        assert (code, out, forks) == (2, "", int(fork))
+        assert err == f"error: {src}: line 2: components sum to 1.0000001, further than 1e-09 from 1\n"
+        code, out, err, forks = self._run(monkeypatch, capsys, fork, argv)
+        assert (code, err, forks) == (0, "", int(fork))
+        assert len(out.splitlines()) == 6
+
     @staticmethod
     def _run_fresh(argv):
         """``atckit`` with the worker forced, in a fresh process that exits 99 on a child left over."""

@@ -258,19 +258,30 @@ class TestScoreOnceEngine:
     def test_binary_kernels_share_one_run(self, monkeypatch):
         # at k = 2 every kernel orders the rows alike: one candidate search per run, not six
         calls = []
-        original = atckit.harness._best_candidate
+        original = atckit.harness._pick
 
-        def counting(counts, gamma):
+        def counting(candidates, ranks, below, idx, gamma):
             calls.append(gamma)
-            return original(counts, gamma)
+            return original(candidates, ranks, below, idx, gamma)
 
-        monkeypatch.setattr(atckit.harness, "_best_candidate", counting)
+        monkeypatch.setattr(atckit.harness, "_pick", counting)
         source, target = _small_pair(k=2, n=300, seed=16)
         args = (source, target, SCORE_IDS, 20, 5)
         outcome = _outcome(_engine_runs, *args)
         assert len(calls) == 20
         assert all(outcome[m] == outcome["max"] for m in SCORE_IDS)
         assert outcome == _outcome(_per_run_reference, *args)
+
+    def test_sentinel_in_a_resample_that_misses_the_top_source_score(self):
+        # every source row is wrong, so a run whose resample holds only the lower
+        # score picks the sentinel: all of the target, even the row above 0.9
+        source = PredictionSet([[0.6, 0.4], [0.9, 0.1]], [1, 1])
+        target = PredictionSet([[0.95, 0.05], [0.5, 0.5]])
+        args = (source, target, ("max",), 20, 3)
+        outcome = _outcome(_engine_runs, *args)
+        assert outcome == _outcome(_per_run_reference, *args)
+        runs = _engine_runs(*args)["max"]
+        assert all(value.error == 1.0 for value in runs)
 
     def test_kernels_ordering_only_the_source_alike_do_not_share(self):
         # at k = 3, max and l1u order rows whose middle component is below 1/3 alike;
