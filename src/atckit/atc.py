@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidArgumentError
 from .scores import Scorer, score_batch
 from .simplex import Convention, MetricValue, PredictionSet, check_estimation_pair, true_accuracy
 
@@ -38,6 +38,10 @@ class ThresholdModel:
     threshold: float
     source_metric: MetricValue
     achieved_source_proportion: float
+
+    def __post_init__(self):
+        if np.isnan(self.threshold):  # every comparison with it would be False
+            raise InvalidArgumentError("threshold must not be NaN")
 
     @property
     def is_sentinel(self) -> bool:

@@ -23,8 +23,10 @@ from .errors import DimensionError, InvalidArgumentError
 from .scores import Scorer, score_batch
 from .simplex import check_seed, check_shape
 
-#: Most points one check takes, for the sample and for a search pool; the
-#: check compares every pair, so this bounds its time.
+#: Most points one check takes, for the sample and for a search pool. A
+#: consistent pair costs O(n log n), but a pair with a violation is scanned
+#: row by row up to its first violating row, and non-finite scores are
+#: always scanned that way, so the worst case stays quadratic.
 MAX_POINTS = 2000
 
 #: The search grid's spacing is 1 / _GRID_UNITS; ``simplex_grid`` scales by 0.1,
@@ -66,6 +68,11 @@ def _signs(delta: np.ndarray, eps: float) -> np.ndarray:
     return np.where(np.abs(delta) <= eps, 0.0, np.sign(delta))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < np.inf:  # also rejects NaN
+        raise InvalidArgumentError(f"eps must be finite and non-negative, got {eps}")
+
+
 def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
     """True iff both functions order ``p`` and ``q`` the same way."""
     p = np.asarray(p, dtype=np.float64)
@@ -78,13 +85,45 @@ def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
     return bool(_signs(va[0] - va[1], eps) == _signs(vb[0] - vb[1], eps))
 
 
+def _gap_not_kept(va: np.ndarray, vb: np.ndarray, eps: float) -> bool:
+    """Whether some points i, j of finite scores have a_i - a_j > eps but
+    b_i - b_j <= eps, in O(n log n).
+
+    Float subtraction is monotone, so the j with a_i - a_j > eps are a
+    prefix of the points sorted by a, and the smallest b_i - b_j over it
+    is the one at the prefix's largest b. Such a j has a_j < a_i - eps,
+    so the prefix ends at or before the search for the rounded a_i - eps;
+    that end steps back one tie group at a time until the difference
+    itself exceeds eps.
+    """
+    order = np.argsort(va)
+    sa, sb = va[order], vb[order]
+    top = np.maximum.accumulate(sb)
+    group_start = np.searchsorted(sa, sa, side="left")
+    end = np.searchsorted(sa, sa - eps, side="right")
+    while True:
+        rows = np.flatnonzero(end)
+        back = rows[~(sa[rows] - sa[end[rows] - 1] > eps)]
+        if back.size == 0:
+            break
+        end[back] = group_start[end[back] - 1]
+    return bool(np.any(sb[rows] - top[end[rows] - 1] <= eps))
+
+
 def _first_violation(va: np.ndarray, vb: np.ndarray, eps: float):
     """First pair i < j, in row-major order, whose signs disagree, or None.
 
-    Scans one row of the pair triangle at a time, so memory stays O(n),
-    and stops at the first row with a disagreement. A NaN difference
-    never equals a sign, so it disagrees.
+    Since fl(x - y) = -fl(y - x), a pair disagrees iff, taken in one of
+    its two orders (i, j), one function has s_i - s_j > eps and the other
+    does not; :func:`_gap_not_kept` decides that for finite scores, so a
+    consistent pair costs O(n log n). Otherwise one row of the pair
+    triangle is scanned at a time, so memory stays O(n), up to the first
+    row with a disagreement. A NaN difference never equals a sign, so it
+    disagrees.
     """
+    finite = np.isfinite(va).all() and np.isfinite(vb).all()
+    if finite and not (_gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)):
+        return None
     v = np.stack([va, vb])
     for i in range(v.shape[1] - 1):
         signs = _signs(v[:, i, None] - v[:, i + 1 :], eps)
@@ -99,8 +138,12 @@ def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> 
 
     ``pairs_checked`` is n(n-1)/2, the pairs the verdict covers. A
     counterexample is the first violating pair (i, j), i < j, in row
-    order, and the check stops there; consistency needs every pair.
+    order. A consistent pair is decided from sorted scores in
+    O(n log n); only a pair with a violation, or with non-finite scores,
+    is scanned row by row, stopping at its first violating row, which
+    is quadratic at worst. ``eps`` must be finite and non-negative.
     """
+    _check_eps(eps)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     va = score_batch(points, fn_a)
@@ -184,7 +227,7 @@ def _pool_size(budget: int) -> int:
     if m > MAX_POINTS:
         raise InvalidArgumentError(
             f"budget={budget} needs a search pool of {m} points, over "
-            f"MAX_POINTS={MAX_POINTS} (the pairwise check is quadratic)"
+            f"MAX_POINTS={MAX_POINTS} (the pairwise check is quadratic at worst)"
         )
     return m
 
@@ -216,10 +259,10 @@ def verify_equivalence_relation(
     for ``seed`` None, which draws fresh entropy once for both). 0 skips
     the search, and a negative budget is rejected, as is an ``eps`` that
     is negative, infinite or NaN, and a seed with a negative entry. The
-    pairwise check takes quadratic time, so the sample and the search
-    pool are capped at ``MAX_POINTS``. A verdict's ``pairs_checked``
-    counts the sample pairs plus the m(m-1)/2 pool pairs the search
-    covered, whether or not it found a witness.
+    sample and the search pool are capped at ``MAX_POINTS``, which bounds
+    the quadratic worst case of :func:`verify_on_points`. A verdict's
+    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool pairs
+    the search covered, whether or not it found a witness.
 
     The relation is reflexive and symmetric by construction, so the
     report lists the transitivity-violating triples and the resulting
@@ -232,12 +275,11 @@ def verify_equivalence_relation(
     if n_points > MAX_POINTS:
         raise InvalidArgumentError(
             f"n_points={n_points} exceeds max_points={MAX_POINTS} "
-            "(the pairwise check is quadratic)"
+            "(the pairwise check is quadratic at worst)"
         )
     if search_budget < 0:
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
-    if not 0.0 <= eps < np.inf:  # also rejects NaN
-        raise InvalidArgumentError(f"eps must be finite and non-negative, got {eps}")
+    _check_eps(eps)
     check_seed(seed)
     pool = _pool_size(search_budget)  # rejects an oversized pool up front
     check_shape(max(n_points, pool), k)

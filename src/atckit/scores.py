@@ -22,6 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import DimensionError
 from .simplex import PredictionSet, _row_blocks
 
 
@@ -187,12 +188,16 @@ def score_batch(data: PredictionSet | np.ndarray, fn: Scorer) -> np.ndarray:
     The registry kernels and their rescalings work row by row, so they
     score one row block at a time, bit for bit as on the whole matrix,
     and their temporaries stay one block in size. Any other callable gets
-    the whole matrix, since nothing says it works row by row.
+    the whole matrix, since nothing says it works row by row, and must
+    return one score per row.
     """
     probs = data.probs if isinstance(data, PredictionSet) else np.atleast_2d(np.asarray(data, dtype=np.float64))
     kernel = as_scorer(fn)
     if not isinstance(fn, (ScoreFunction, MonotoneTransform)):
-        return kernel(probs)
+        out = np.asarray(kernel(probs), dtype=np.float64)
+        if out.shape != probs.shape[:1]:
+            raise DimensionError(f"scorer output has shape {out.shape}, not one score per row of a {probs.shape} input")
+        return out
     out = np.empty(probs.shape[0])
     for rows in _row_blocks(*probs.shape):
         out[rows] = kernel(probs[rows])

@@ -65,6 +65,12 @@ MUTANTS = {
     "js-branch-bounds": ("scores.py", "(0.5 < out) & (out < 2.0)", "(0.25 < out) & (out < 2.0)"),
     "negative-clamp-to-abs": ("simplex.py", "probs[probs < 0.0] = 0.0", "probs[probs < 0.0] *= -1.0"),
     "equality-tolerance-strict": ("ordering.py", "np.abs(delta) <= eps", "np.abs(delta) < eps"),
+    # the sort-based consistency check
+    "prefix-tolerance-not-strict": (
+        "ordering.py", "sa[rows] - sa[end[rows] - 1] > eps", "sa[rows] - sa[end[rows] - 1] >= eps",
+    ),
+    "prefix-max-one-late": ("ordering.py", "top[end[rows] - 1]", "top[end[rows]]"),
+    "prefix-search-side": ("ordering.py", 'sa - eps, side="right")', 'sa - eps, side="left")'),
 }
 
 

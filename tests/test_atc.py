@@ -15,6 +15,7 @@ from atckit import (
     PredictionSet,
     ScoreFunction,
     Shift,
+    ThresholdModel,
     atc_estimate,
     estimate_target,
     learn_threshold,
@@ -111,6 +112,11 @@ class TestEstimateTarget:
         model = learn_threshold([0.5], 0.0)
         with pytest.raises(EmptyInputError):
             estimate_target(model, [])
+
+    def test_nan_threshold_rejected(self):
+        # every comparison with NaN is False: such a model would estimate error 0.0
+        with pytest.raises(ValueError, match="^threshold must not be NaN$"):
+            ThresholdModel(float("nan"), MetricValue(0.5, Convention.ERROR), 0.5)
 
 
 def _pair(k, seed, n=400, accuracy=0.8, temperature=1.3):
@@ -227,6 +233,13 @@ class TestAtcEstimate:
 
         with pytest.raises(ValueError, match=f"^{message}$"):
             atc_estimate(source, target, scorer)
+
+    def test_scorer_without_one_score_per_row_rejected(self):
+        source = PredictionSet([[0.9, 0.1], [0.4, 0.6], [0.7, 0.3]], labels=[0, 1, 1])
+        target = PredictionSet([[0.6, 0.4], [0.2, 0.8]])
+        message = r"^scorer output has shape \(3, 2\), not one score per row of a \(3, 2\) input$"
+        with pytest.raises(DimensionError, match=message):
+            atc_estimate(source, target, lambda probs: probs)
 
 
 def _bits(*values):

@@ -122,6 +122,12 @@ class TestVerifyOnSample:
         assert w.score_b_p == w.score_b_q == 0.5
         assert not check_pair(w.p, w.q, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
 
+    @pytest.mark.parametrize("eps", [-1e-12, float("inf"), float("nan")])
+    def test_eps_must_be_finite_and_non_negative(self, eps):
+        points = sample_simplex(3, 5, seed=0)
+        with pytest.raises(InvalidArgumentError, match="^eps must be finite and non-negative"):
+            verify_on_points(points, ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, eps)
+
     def test_verdict_is_its_witness(self):
         points = np.array([[0.5, 0.2, 0.3], [0.5, 0.5, 0.0]])
         found = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.MAX_CONF)
@@ -161,17 +167,47 @@ def _score_pairs(draw):
     return va, vb
 
 
+# monotone maps of a grid with unit u, some of which merge values into ties
+_GRID_MAPS = [
+    lambda v, u: v,
+    lambda v, u: 2.0 * v + 1.0,
+    lambda v, u: np.clip(v, -4 * u, 4 * u),
+    lambda v, u: np.floor(v / (3 * u)) * (3 * u),
+]
+
+
+@st.composite
+def _grid_pairs(draw):
+    """(scores a, scores b, eps) on 0 to 60 points, all multiples of eps
+    (of 1e-3 for eps 0), so that differences land on the tolerance itself."""
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    unit = eps or 1e-3
+    n = draw(st.integers(0, 60))
+    steps = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    va = np.array(draw(steps), dtype=np.float64) * unit
+    if draw(st.booleans()):  # consistent up to rounding, perhaps with one entry moved
+        vb = draw(st.sampled_from(_GRID_MAPS))(va, unit)
+        if n and draw(st.booleans()):
+            vb[draw(st.integers(0, n - 1))] = draw(st.integers(-20, 20)) * unit
+    else:
+        vb = np.array(draw(steps), dtype=np.float64) * unit
+    return va, vb, eps
+
+
 class TestRowScanMatchesDenseOracle:
     def _assert_matches_oracle(self, va, vb, eps):
         n = va.shape[0]
         points = np.arange(n, dtype=np.float64)[:, None]
-        verdict = verify_on_points(points, _lookup(va), _lookup(vb), eps)
+        with mock.patch.object(ordering, "_signs", wraps=ordering._signs) as row_scan:
+            verdict = verify_on_points(points, _lookup(va), _lookup(vb), eps)
         hit = dense_first_violation(va, vb, eps)
         assert verdict.pairs_checked == n * (n - 1) // 2
         assert verdict.equality_tolerance == eps
         if hit is None:
             assert verdict.status == "consistent-on-sample"
             assert verdict.witness is None
+            if np.isfinite(va).all() and np.isfinite(vb).all():
+                assert row_scan.call_count == 0  # decided by the sort alone
             return
         i, j = hit
         w = verdict.witness
@@ -184,6 +220,52 @@ class TestRowScanMatchesDenseOracle:
     @given(case=_score_pairs(), eps=st.sampled_from([0.0, 1e-12, 1e-3]))
     def test_equals_dense_oracle_bit_for_bit(self, case, eps):
         self._assert_matches_oracle(*case, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_grid_pairs())
+    def test_equals_dense_oracle_on_a_tolerance_grid(self, case):
+        self._assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "va, vb",
+        [([], []), ([0.5], [-1.0]), ([0.0, 1e-3], [0.0, 0.0]), ([0.0, 1e-3], [1e-3, 0.0]),
+         ([0.0, 0.5], [0.5, 0.0])],
+    )
+    def test_fewer_than_three_points(self, va, vb, eps):
+        self._assert_matches_oracle(np.array(va, dtype=np.float64), np.array(vb, dtype=np.float64), eps)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3])
+    def test_a_difference_of_exactly_eps_is_a_tie(self, eps):
+        va, vb = np.array([0.0, eps, 5.0]), np.array([0.0, 0.0, -5.0])
+        assert dense_first_violation(va, vb, eps) == (0, 2)  # (0, 1) ties under both
+        self._assert_matches_oracle(va, vb, eps)
+        self._assert_matches_oracle(va[:2], va[:2].copy(), eps)
+
+    def test_a_point_at_the_rounded_search_key_is_in_the_prefix(self):
+        eps = 1e-3
+        high = 9 * eps
+        low = high - eps  # the key of high's search, rounded down
+        assert high - low > eps
+        self._assert_matches_oracle(np.array([low, high]), np.zeros(2), eps)
+
+    def test_the_prefix_steps_back_past_rounded_differences(self):
+        # 1 - u rounds to eps for the five u just below 2**-30, so the search
+        # for 1 - eps = 2**-30 ends five points past the prefix of point 1.0
+        eps = 1.0 - 2.0**-30
+        va = np.array([1.0, *(2.0**-30 - i * 2.0**-60 for i in range(5)), 2.0**-30 - 2.0**-53])
+        assert [1.0 - u > eps for u in va[1:]] == [False] * 5 + [True]
+        self._assert_matches_oracle(va, va.copy(), eps)
+
+    def test_consistent_pair_skips_the_row_scan(self, monkeypatch):
+        def row_scan(delta, eps):
+            raise AssertionError("a consistent pair reached the quadratic row scan")
+
+        monkeypatch.setattr(ordering, "_signs", row_scan)
+        points = sample_simplex(3, ordering.MAX_POINTS, seed=0)
+        verdict = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM)
+        assert verdict.consistent
+        assert verdict.pairs_checked == 2000 * 1999 // 2
 
     @pytest.mark.parametrize("swap", [None, 3, 400, 998])
     def test_finds_a_violation_in_a_late_row(self, swap):
