@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import _blas  # noqa: F401  (before numpy loads: one BLAS thread)
-from .errors import AtckitError, MissingLabelsError
+from .errors import AtckitError, InvalidArgumentError, MissingLabelsError
 from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
@@ -59,15 +59,14 @@ def _pct(x: float) -> str:
 # ---------------------------------------------------------------- estimate
 
 
-def _add_estimate_parser(subparsers) -> None:
-    p = subparsers.add_parser("estimate", help="estimate target accuracy from a dump pair")
+def _add_estimate_parser(subparsers, seeded) -> None:
+    p = subparsers.add_parser("estimate", parents=[seeded], help="estimate target accuracy from a dump pair")
     p.add_argument("--source", required=True, help="labeled source dump (csv/json)")
     p.add_argument("--target", required=True, help="target dump (labels ignored)")
     p.add_argument("--score", default="all", choices=("all",) + SCORE_IDS)
     p.add_argument("--method", default="atc", choices=("atc", "doc", "doc-reg"))
     p.add_argument("--convention", default="accuracy", choices=("accuracy", "error"))
     p.add_argument("--boot", type=int, default=0, help="bootstrap resamples (0 = none)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--calibration-sets", type=int, default=DOC_REG_CALIBRATION_SETS)
     p.add_argument(
         "--strict-sums", action="store_true",
@@ -103,8 +102,8 @@ def _cmd_estimate(args) -> int:
 # ---------------------------------------------------------------- benchmark
 
 
-def _add_benchmark_parser(subparsers) -> None:
-    p = subparsers.add_parser("benchmark", help="bootstrap benchmark over dimensions")
+def _add_benchmark_parser(subparsers, seeded) -> None:
+    p = subparsers.add_parser("benchmark", parents=[seeded], help="bootstrap benchmark over dimensions")
     p.add_argument(
         "--pair",
         nargs=2,
@@ -124,7 +123,6 @@ def _add_benchmark_parser(subparsers) -> None:
     )
     p.add_argument("--boot", type=int, default=1000)
     p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude-binary", action="store_true", help="skip k=2 when ranking")
     p.add_argument("--pairwise", action="store_true", help="print pairwise differences")
     p.add_argument("--out-dir", default=".")
@@ -184,12 +182,11 @@ def _cmd_benchmark(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _add_verify_parser(subparsers) -> None:
-    p = subparsers.add_parser("verify", help="check order-equivalences between score functions")
+def _add_verify_parser(subparsers, seeded) -> None:
+    p = subparsers.add_parser("verify", parents=[seeded], help="check order-equivalences between score functions")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--pair", help="comma-separated pair of score ids, e.g. l2n,max")
     p.set_defaults(func=_cmd_verify)
@@ -271,13 +268,12 @@ def _generator_spec(args, k: int, seed: int, label_prior=None) -> GeneratorSpec:
     )
 
 
-def _add_generate_parser(subparsers) -> None:
-    p = subparsers.add_parser("generate", help="write a synthetic prediction dump")
+def _add_generate_parser(subparsers, seeded) -> None:
+    p = subparsers.add_parser("generate", parents=[seeded], help="write a synthetic prediction dump")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_generator_flags(p)
     p.add_argument("--label-prior", help="comma-separated class prior, e.g. 0.5,0.3,0.2")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dump path: JSON if it ends in .json, else CSV")
     p.set_defaults(func=_cmd_generate)
 
@@ -302,17 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="atckit",
         description="accuracy estimation from softmax dumps via thresholded confidence",
     )
+    seeded = argparse.ArgumentParser(add_help=False)  # every subcommand's --seed
+    seeded.add_argument("--seed", type=int, default=0)
     subparsers = parser.add_subparsers(required=True)
-    _add_estimate_parser(subparsers)
-    _add_benchmark_parser(subparsers)
-    _add_verify_parser(subparsers)
-    _add_generate_parser(subparsers)
+    for add in (_add_estimate_parser, _add_benchmark_parser, _add_verify_parser, _add_generate_parser):
+        add(subparsers, seeded)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # before any file is read or written
+            raise InvalidArgumentError(f"--seed must not be negative, got {args.seed}")
         return args.func(args)
     except (AtckitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

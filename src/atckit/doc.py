@@ -27,7 +27,6 @@ from .simplex import (
     MetricValue,
     PredictionSet,
     check_estimation_pair,
-    check_seed,
     resample_indices,
     true_accuracy,
 )
@@ -60,7 +59,6 @@ def bootstrap_calibration(
     same resamples as index blocks and keeps only each one's summary.
     """
     check_calibration(source, n_sets)
-    check_seed(seed)
     out = []
     for idx in resample_indices(len(source), seed, n_sets):
         resample = source.subset(idx)

@@ -12,9 +12,10 @@ reports the mean absolute error with a percentile confidence interval,
 plus tie-aware win counts and a pairwise mean-difference report over the
 run-level error distributions.
 
-Per-run seeds are derived from (master seed, dimension, run index) by a
-stable hash, never drawn from a shared stream, so runs may execute in
-any order or in parallel and still reproduce bit-identically.
+Run i's seed is ``simplex.derive_seed(master seed, dimension, i)``, a
+stable hash, never drawn from a shared stream, so runs may execute in any
+order or in parallel and still reproduce bit-identically; ``doc-reg``
+calibrates from the run seed's sub-stream 1 (``simplex._sub_seed``).
 
 A run never rescores or sorts. Each set is scored once per score
 function, and ATC's rank step (``atc._rank``) runs once per kernel. A run
@@ -28,7 +29,6 @@ share it: at k = 2 one computation serves all six.
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -45,8 +45,10 @@ from .simplex import (
     MetricValue,
     PredictionSet,
     _resample_blocks,
+    _row_blocks,
+    _sub_seed,
     check_estimation_pair,
-    check_seed,
+    derive_seed,
     resample_indices,
     true_accuracy,
 )
@@ -111,16 +113,6 @@ class PairwiseDifference:
     ci_low: float
     ci_high: float
     significant: bool  # interval excludes zero
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed: blake2b (8 bytes) of the ``:``-joined parts.
-
-    Derived by hashing rather than drawn from a stream so any subset of
-    runs can be reproduced in isolation.
-    """
-    key = ":".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
 def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
@@ -234,9 +226,10 @@ def score_once(
     method's target estimate with ``source.subset(idx)`` as the source
     (``idx = slice(None)`` is the whole set), equal bit for bit to
     ``atc_estimate`` or ``doc_estimate`` on that subset. ``doc-reg``
-    draws its ``calibration_sets`` resamples of it from ``[seed, 1]``,
-    as ``bootstrap_calibration`` does. Every score works row by row, so
-    the subset's scores are ``scores[idx]`` and no subset is built.
+    draws its ``calibration_sets`` resamples of it from sub-stream 1 of
+    ``seed``, as ``bootstrap_calibration`` does from the seed it is given.
+    Every score works row by row, so the subset's scores are
+    ``scores[idx]`` and no subset is built.
     """
     kernels = _kernels(methods)
     return _score_summaries(_summarize(source, kernels), _summarize(target, kernels), methods, calibration_sets)
@@ -252,6 +245,11 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
         check_estimation_pair(source, target, "ATC" if method in SCORE_IDS else "DoC")
 
     methods = tuple(dict.fromkeys(methods))
+    if "doc-reg" in methods:  # (mean confidence, accuracy) per calibration set, refilled by each run
+        try:
+            pairs = np.empty((calibration_sets, 2))
+        except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+            raise InvalidArgumentError(f"{calibration_sets} calibration sets do not fit in memory") from None
     correct = source.predicted == source.labels
     if ScoreFunction.MAX_CONF in source.scores:
         source_max = source.scores[ScoreFunction.MAX_CONF]
@@ -283,14 +281,11 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
                 values[method] = atc[method]
                 continue
             conf = source_max[idx]
-            calibration = None
             if method == "doc-reg":
-                check_seed([seed, 1])
-                calibration = [
-                    pair
-                    for j in _resample_blocks(len(source), [seed, 1], calibration_sets)
-                    for pair in zip(conf[j].mean(axis=1), hits[j].mean(axis=1))
-                ]
+                blocks = _resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)
+                for rows, j in zip(_row_blocks(calibration_sets, len(source)), blocks):
+                    pairs[rows] = np.column_stack((conf[j].mean(axis=1), hits[j].mean(axis=1)))
+            calibration = pairs if method == "doc-reg" else None
             values[method] = doc_accuracy(accuracy, float(np.mean(conf)), target_conf, calibration)
         return values
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidArgumentError
 from .scores import Scorer, score_batch
-from .simplex import check_seed, check_shape
+from .simplex import _rng, _sub_seed, check_shape
 
 #: Most points one check takes, for the sample and for a search pool. A
 #: consistent pair costs O(n log n), but a pair with a violation is scanned
@@ -169,8 +169,7 @@ def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> 
 
 def sample_simplex(k: int, n_points: int, seed) -> np.ndarray:
     """Uniform draws from the (k-1)-simplex (flat Dirichlet)."""
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(k), size=n_points)
+    return _rng(seed).dirichlet(np.ones(k), size=n_points)
 
 
 def _compositions(total: int, parts: int):
@@ -280,7 +279,6 @@ def verify_equivalence_relation(
     if search_budget < 0:
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
     _check_eps(eps)
-    check_seed(seed)
     pool = _pool_size(search_budget)  # rejects an oversized pool up front
     check_shape(max(n_points, pool), k)
     fns = tuple(fns)
@@ -288,7 +286,7 @@ def verify_equivalence_relation(
     if seed is None:  # one fresh draw, so every pair still searches the same pool
         seed = np.random.SeedSequence().entropy
     points = sample_simplex(k, n_points, seed)
-    search_seed = [*np.ravel(seed), 1]
+    search_seed = _sub_seed(seed, 1)
 
     verdicts: dict = {}
     consistent = np.ones((n_fns, n_fns), dtype=bool)

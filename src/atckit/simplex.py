@@ -9,6 +9,7 @@ can assume exact simplex membership.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -201,7 +202,7 @@ def _resample_blocks(n: int, seed, n_sets: int):
     ``integers`` call per :func:`_row_blocks` block of the (n_sets, n)
     index matrix. The stream is the same as one ``integers(0, n, size=n)``
     call per vector, and no more than one block is drawn at a time."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for rows in _row_blocks(n_sets, n):
         yield rng.integers(0, n, size=(rows.stop - rows.start, n))
 
@@ -214,9 +215,29 @@ def _row_blocks(n: int, k: int):
 
 
 def check_seed(seed) -> None:
-    """Reject a seed with a negative entry, which numpy's generators refuse."""
-    if seed is not None and np.any(np.asarray(seed) < 0):
+    """Reject a seed with a negative entry, which numpy's generators refuse (numpy's seed objects pass)."""
+    numpy_seed = isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator))
+    if not (seed is None or numpy_seed) and np.any(np.asarray(seed) < 0):
         raise InvalidArgumentError(f"seed must not be negative, got {seed}")
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed: blake2b (8 bytes) of the ``:``-joined parts, which may
+    be negative. Hashed, not drawn from a stream, so any run reproduces alone."""
+    key = ":".join(str(p) for p in parts).encode()
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def _sub_seed(seed, j: int) -> list:
+    """Sub-stream ``j`` of a checked ``seed``; it draws as ``default_rng([seed, j])``."""
+    check_seed(seed)
+    return [*np.ravel(seed), j]
+
+
+def _rng(seed) -> np.random.Generator:
+    """``default_rng`` of a checked ``seed``: the package's one generator factory."""
+    check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 def check_shape(rows: int, k: int) -> None:

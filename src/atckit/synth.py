@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, NotOnSimplexError
-from .simplex import PredictionSet, check_seed, check_shape, validate_matrix
+from .simplex import PredictionSet, _rng, _sub_seed, check_seed, check_shape, validate_matrix
 
 #: Rejection rounds before forcing the argmax deterministically.
 _MAX_REDRAWS = 1000
@@ -100,7 +100,7 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> Pre
     generation always terminates). Temperature shift is applied last.
     """
     if rng is None:
-        rng = np.random.default_rng(spec.seed)
+        rng = _rng(spec.seed)
     k, n = spec.k, spec.n
 
     labels = rng.choice(k, size=n, p=_label_prior(spec))
@@ -161,6 +161,6 @@ def make_shift_pair(spec: GeneratorSpec) -> tuple[PredictionSet, PredictionSet]:
     recipe with the spec's shift and independently drawn labels. Both
     sets are labeled so benchmark ground truth exists.
     """
-    source = generate(replace(spec, shift=Shift()), np.random.default_rng([spec.seed, 0]))
-    target = generate(spec, np.random.default_rng([spec.seed, 1]))
+    source = generate(replace(spec, shift=Shift()), _rng(_sub_seed(spec.seed, 0)))
+    target = generate(spec, _rng(_sub_seed(spec.seed, 1)))
     return source, target

@@ -6,7 +6,10 @@ to a fresh copy of the repository in a temporary directory and runs the
 tier-1 suite there with ``-x`` and a fixed Hypothesis seed. Criterion 10
 fails on every tree, as ROADMAP.md documents, so it is deselected: any
 other failing test, or a collection error, kills the mutant. The unmutated
-copy runs first and must pass, or no verdict means anything.
+copy runs first and must pass, or no verdict means anything. A mutated
+suite that runs three times as long as the unmutated one (a mutant that
+makes a loop spin) is killed with every process it started, and the
+mutant counts as killed by the timeout.
 
 It is not a tier-1 test (pytest does not collect it), since every mutant
 costs a suite run of up to a minute. From the repository root:
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_thresholded_estimator_vs_confidence_gap_baseline"
 _LEFT_BEHIND = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
+#: A mutated suite may take this many times the unmutated run (copy included) before it is killed.
+_TIMEOUT_FACTOR = 3
 
 #: name -> (file under src/atckit/, old text, new text)
 MUTANTS = {
@@ -57,8 +63,8 @@ MUTANTS = {
     ),
     "doc-reg-seed": (
         "harness.py",
-        "_resample_blocks(len(source), [seed, 1], calibration_sets)",
-        "_resample_blocks(len(source), [seed, 2], calibration_sets)",
+        "_resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)",
+        "_resample_blocks(len(source), _sub_seed(seed, 2), calibration_sets)",
     ),
     "rank-without-rounding": ("harness.py", "round(r.mean_abs_error, RANK_DECIMALS)", "r.mean_abs_error"),
     "row-sum-unsorted": ("scores.py", "    terms.sort(axis=1)\n", "    None\n"),
@@ -71,6 +77,11 @@ MUTANTS = {
     ),
     "prefix-max-one-late": ("ordering.py", "top[end[rows] - 1]", "top[end[rows]]"),
     "prefix-search-side": ("ordering.py", 'sa - eps, side="right")', 'sa - eps, side="left")'),
+    # makes _gap_not_kept's step-back loop spin for ever: killed by the timeout
+    "group-start-side-spins": ("ordering.py", 'np.searchsorted(sa, sa, side="left")', 'np.searchsorted(sa, sa, side="right")'),
+    # the seed rule
+    "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
+    "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),
 }
 
 
@@ -83,28 +94,47 @@ def _apply(tree: Path, name: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def _suite(tree: Path) -> tuple[int, str]:
-    """Tier-1 in ``tree``: pytest's exit code and the first test that failed or errored."""
-    result = subprocess.run(
+def _suite(tree: Path, timeout: float | None) -> tuple[int | None, str]:
+    """Tier-1 in ``tree``: pytest's exit code (None past ``timeout`` seconds) and
+    the first test that failed or errored.
+
+    pytest runs in a session of its own, and its whole process group is
+    killed when it returns or times out, so no child it started (a fresh
+    CLI process, a forked ``estimate`` worker) is left running.
+    """
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--hypothesis-seed=0", "--deselect", CRITERION_10],
         cwd=tree,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
         text=True,
+        start_new_session=True,
     )
-    failed = [line.split()[1] for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    return result.returncode, failed[0] if failed else ""
+    try:
+        stdout, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        stdout = None
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the group has already ended
+        pass
+    if stdout is None:
+        proc.communicate()  # reap pytest
+        return None, ""
+    failed = [line.split()[1] for line in stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed[0] if failed else ""
 
 
-def _run(name: str | None) -> tuple[int, str]:
+def _run(name: str | None, timeout: float | None = None) -> tuple[int | None, str]:
     """:func:`_suite` on a fresh copy of the repository with mutant ``name`` applied (None: none)."""
     with tempfile.TemporaryDirectory(prefix="atckit-mutant-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=_LEFT_BEHIND)
         if name is not None:
             _apply(tree, name)
-        return _suite(tree)
+        return _suite(tree, timeout)
 
 
 def main(names) -> int:
@@ -116,10 +146,13 @@ def main(names) -> int:
     if code != 0:
         print(f"the unmutated tree fails (pytest exit {code}, {first or 'no test named'}): no verdict")
         return 2
+    timeout = _TIMEOUT_FACTOR * (time.perf_counter() - start)
     survivors = []
     for name in names or MUTANTS:
-        code, first = _run(name)
-        if code == 0:
+        code, first = _run(name, timeout)
+        if code is None:
+            print(f"killed (timeout) {name}: no result within {timeout:.0f} s", flush=True)
+        elif code == 0:
             survivors.append(name)
             print(f"SURVIVED {name}", flush=True)
         elif code == 1:

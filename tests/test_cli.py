@@ -591,18 +591,51 @@ class TestBadFlagValues:
         assert capsys.readouterr().err == "error: calibration sets must not be negative, got -3\n"
 
     def test_negative_seed_for_doc_reg_named(self, tmp_path, capsys):
+        # the flag is named, not the sub-stream seed [-1, 1] that doc-reg derives from it
         src, tgt = _write_pair(tmp_path, k=3, n=50)
         argv = ["estimate", "--source", str(src), "--target", str(tgt), "--method", "doc-reg", "--seed", "-1"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: seed must not be negative, got [-1, 1]\n"
+        assert capsys.readouterr() == ("", "error: --seed must not be negative, got -1\n")
 
-    def test_negative_seed_hashed_where_derived(self, tmp_path):
-        # these seeds only feed derive_seed, which takes any integer
+    def test_negative_seed_rejected_where_derived(self, tmp_path, capsys):
+        # derive_seed would hash these seeds, but the CLI checks --seed before any subcommand runs
         src, tgt = _write_pair(tmp_path, k=3, n=50)
-        assert main(["estimate", "--source", str(src), "--target", str(tgt), "--boot", "3", "--seed", "-1"]) == 0
+        assert main(["estimate", "--source", str(src), "--target", str(tgt), "--boot", "3", "--seed", "-1"]) == 2
         argv = ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2", "--methods", "max", "doc-reg",
                 "--seed", "-1", "--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 0
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --seed must not be negative, got -1\n" * 2)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["estimate", "--source", "{missing}", "--target", "{missing}", "--method", method, "--boot", boot]
+              for method in ("atc", "doc", "doc-reg") for boot in ("0", "3")),
+            ["benchmark", "--pair", "{missing}", "{missing}", "--out-dir", "{out}"],
+            ["verify", "--k", "3"],
+            ["generate", "--k", "3", "--n", "5", "--out", "{out}"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_seed_checked_first(self, argv, tmp_path, capsys):
+        # the seed is checked before the (missing) source is read or any output is made
+        missing, out = tmp_path / "missing.csv", tmp_path / "out"
+        argv = [arg.format(missing=missing, out=out) for arg in argv]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must not be negative, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sets", [10**13, 10**19])
+    def test_impossible_calibration_sets_named(self, tmp_path, capsys, sets):
+        # 10**13 (mean confidence, accuracy) pairs are 146 TiB, beyond a 47-bit address
+        # space; 10**19 rows are more than an array can have
+        dump = tmp_path / "two.json"
+        dump.write_text('{"probs": [[0.9, 0.1], [0.3, 0.7]], "labels": [0, 0]}')
+        argv = ["estimate", "--source", str(dump), "--target", str(dump), "--method", "doc-reg",
+                "--calibration-sets", str(sets)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {sets} calibration sets do not fit in memory\n")
 
     def test_json_label_out_of_range(self, tmp_path, capsys):
         dump = tmp_path / "bad.json"

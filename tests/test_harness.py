@@ -122,6 +122,18 @@ class TestRunBenchmark:
         assert list(table) == [(3, "max"), (3, "l2n"), (3, "doc")]
         assert all(errors.dtype == np.float64 and errors.shape == (5,) for errors in table.values())
 
+    def test_negative_master_seed_hashed(self):
+        # runs derive their seeds with derive_seed, which hashes any integer
+        source, target = _small_pair(n=60)
+        config = BenchmarkConfig(methods=("max", "doc-reg"), n_boot=3, master_seed=-1)
+        table = run_benchmark(source, target, config)
+        assert [errors.shape for errors in table.values()] == [(3,), (3,)]
+
+    def test_negative_point_seed_named_for_doc_reg(self):
+        source, target = _small_pair(n=60)
+        with pytest.raises(InvalidArgumentError, match=r"^seed must not be negative, got -5$"):
+            score_once(source, target, ("doc-reg",))(slice(None), -5)
+
     def test_binary_collapse_run_by_run(self):
         source, target = _small_pair(k=2, n=150, seed=4)
         config = BenchmarkConfig(methods=BenchmarkConfig().methods[:6], n_boot=20, master_seed=2)

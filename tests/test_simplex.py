@@ -17,11 +17,21 @@ from atckit import (
     MissingLabelsError,
     NotOnSimplexError,
     PredictionSet,
+    bootstrap_resample,
     generate,
     true_accuracy,
     validate_matrix,
 )
-from atckit.simplex import _BLOCK_CELLS, _resample_blocks, _row_blocks, resample_indices
+from atckit.ordering import sample_simplex
+from atckit.simplex import (
+    _BLOCK_CELLS,
+    _resample_blocks,
+    _rng,
+    _row_blocks,
+    _sub_seed,
+    derive_seed,
+    resample_indices,
+)
 
 
 class TestValidateVector:
@@ -214,6 +224,59 @@ class TestResampleIndices:
             tracemalloc.stop()
         # a block is one 400 kB row here; the whole (1000, n) matrix would be 400 MB
         assert peak < 4 * 8 * max(_BLOCK_CELLS, n)
+
+
+#: Seeds at numpy's integer widths, and the kinds derive_seed gives runs and synthetic dimensions.
+EDGE_SEEDS = [0, 2**32 - 1, 2**63, 2**64 - 1, 2**64 + 5]
+DERIVED_SEEDS = [derive_seed(master, k, run) for master in (0, -1) for k in (2, 3) for run in range(3)] + [
+    derive_seed("gen", master, k) for master in (0, 7) for k in (2, 3, 6)
+]
+
+
+class TestSeedRule:
+    """Every stream comes from ``_rng(seed)``, or ``_rng(_sub_seed(seed, j))`` for sub-stream j."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + DERIVED_SEEDS)
+    def test_streams_draw_as_default_rng(self, seed):
+        expected = np.random.default_rng(seed).integers(0, 2**62, size=8)
+        assert np.array_equal(_rng(seed).integers(0, 2**62, size=8), expected)
+        for j in (0, 1, 2):
+            expected = np.random.default_rng([seed, j]).integers(0, 2**62, size=8)
+            assert np.array_equal(_rng(_sub_seed(seed, j)).integers(0, 2**62, size=8), expected)
+
+    def test_sub_streams_differ_but_zero_is_the_seed_itself(self):
+        # SeedSequence ignores trailing zero words, so [5, 0] seeds what 5 seeds: no
+        # caller may draw from both a seed and its sub-stream 0 (README's stream table)
+        def draws(seed):
+            return tuple(_rng(seed).integers(0, 2**62, size=4).tolist())
+
+        assert len({draws(seed) for seed in (5, _sub_seed(5, 1), _sub_seed(5, 2))}) == 3
+        assert draws(_sub_seed(5, 0)) == draws(5)
+
+    def test_none_draws_fresh_entropy(self):
+        assert not np.array_equal(_rng(None).random(4), _rng(None).random(4))
+
+    def test_numpy_seed_objects_pass(self):
+        assert np.array_equal(
+            sample_simplex(3, 2, np.random.default_rng(4)), np.random.default_rng(4).dirichlet(np.ones(3), size=2)
+        )
+        (idx,) = resample_indices(5, np.random.SeedSequence(4))
+        assert np.array_equal(idx, np.random.default_rng(4).integers(0, 5, size=5))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: bootstrap_resample(PredictionSet([[0.9, 0.1]], labels=[0]), seed),
+            lambda seed: sample_simplex(3, 5, seed),
+            lambda seed: _sub_seed(seed, 1),
+            lambda seed: _rng(seed),
+        ],
+        ids=["bootstrap_resample", "sample_simplex", "sub_seed", "rng"],
+    )
+    def test_negative_seed_is_invalid_argument(self, draw):
+        # not numpy's bare ValueError "expected non-negative integer"
+        with pytest.raises(InvalidArgumentError, match=r"^seed must not be negative, got -1$"):
+            draw(-1)
 
 
 class TestMetricValue:
