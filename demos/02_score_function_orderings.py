@@ -84,7 +84,7 @@ for transform in (
     MonotoneTransform.odd_power(base, 3),
 ):
     est = atc_estimate(source, target, transform)
-    tag = f"{transform.kind} (scale={transform.scale}, offset={transform.offset}, exp={transform.exponent})"
+    tag = f"scale={transform.scale}, offset={transform.offset}, exp={transform.exponent}"
     print(f"  {tag:<48} estimate {est.accuracy:.6f} "
           f"({'identical' if est.accuracy == reference.accuracy else 'DIFFERENT'})")
 print(f"  base estimate: {reference.accuracy:.6f} "

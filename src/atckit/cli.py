@@ -84,7 +84,7 @@ def _cmd_estimate(args) -> int:
         args.source, args.target, _kernels(methods), renormalize=not args.strict_sums
     )
     if source.labels is None:
-        raise MissingLabelsError("estimate needs a labeled source dump")
+        raise MissingLabelsError(f"{args.source}: estimate needs a labeled source dump")
     convention = Convention(args.convention)
 
     estimate = _score_summaries(source, target, methods, args.calibration_sets)

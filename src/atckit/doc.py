@@ -26,8 +26,8 @@ from .simplex import (
     Convention,
     MetricValue,
     PredictionSet,
+    _resample_blocks,
     check_estimation_pair,
-    resample_indices,
     true_accuracy,
 )
 
@@ -59,11 +59,9 @@ def bootstrap_calibration(
     same resamples as index blocks and keeps only each one's summary.
     """
     check_calibration(source, n_sets)
-    out = []
-    for idx in resample_indices(len(source), seed, n_sets):
-        resample = source.subset(idx)
-        out.append((resample, true_accuracy(resample)))
-    return out
+    blocks = _resample_blocks(len(source), seed, n_sets)
+    resamples = [source.subset(idx) for block in blocks for idx in block]
+    return [(resample, true_accuracy(resample)) for resample in resamples]
 
 
 def doc_accuracy(

@@ -49,7 +49,6 @@ from .simplex import (
     _sub_seed,
     check_estimation_pair,
     derive_seed,
-    resample_indices,
     true_accuracy,
 )
 
@@ -117,7 +116,7 @@ class PairwiseDifference:
 
 def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
     """Sample ``len(data)`` rows with replacement; labels travel along."""
-    (idx,) = resample_indices(len(data), seed)
+    (idx,) = next(_resample_blocks(len(data), seed, 1))
     return data.subset(idx)
 
 
@@ -307,7 +306,7 @@ def bootstrap_estimates(estimate, source: PredictionSet, n_boot: int, master_see
     runs: dict = {}
     for run_index in range(n_boot):
         seed = derive_seed(master_seed, source.k, run_index)
-        (idx,) = resample_indices(len(source), seed)
+        (idx,) = next(_resample_blocks(len(source), seed, 1))
         for method, value in estimate(idx, seed).items():
             runs.setdefault(method, []).append(value)
     return runs

@@ -11,7 +11,8 @@ so that thresholding behaviour is unchanged while evaluation stays cheap:
 
 Per-component terms are sorted before summation, which makes every score
 exactly invariant under permutation of the components rather than merely
-up to float reassociation.
+up to float reassociation. :func:`score_batch` alone turns a ``Scorer``
+(a registry id, a :class:`MonotoneTransform` of one, a callable) into scores.
 """
 
 from __future__ import annotations
@@ -125,44 +126,36 @@ _KERNELS: dict[ScoreFunction, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class MonotoneTransform:
-    """A strictly increasing rescaling of a base score function.
-
-    Restricted to a catalog of maps that are strictly increasing over the
-    reals: positive-slope affine maps and odd integer powers. In float64,
-    rounding can merge two distinct scores into one. The estimate equals
-    the base function's bit for bit when the transform maps the distinct
-    base scores of source and target together to distinct values, in the
-    same order. Nothing checks this at run time.
+    """The strictly increasing rescaling ``scale * s ** exponent + offset``
+    of a base score ``s``, for ``scale > 0`` and a positive odd integer
+    ``exponent``; :meth:`affine` and :meth:`odd_power` build its two usual
+    cases. In float64, rounding can merge two distinct scores into one.
+    The estimate equals the base function's bit for bit when the transform
+    maps the distinct base scores of source and target together to
+    distinct values, in the same order. Nothing checks this at run time.
     """
 
     base: ScoreFunction
-    kind: str  # "affine" or "odd-power"
     scale: float = 1.0
     offset: float = 0.0
     exponent: int = 1
 
     def __post_init__(self):
-        if self.kind == "affine":
-            if self.scale <= 0:
-                raise ValueError("affine transform needs a positive slope")
-        elif self.kind == "odd-power":
-            if self.exponent < 1 or self.exponent % 2 == 0:
-                raise ValueError("power transform needs a positive odd exponent")
-        else:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+        if not self.scale > 0:
+            raise ValueError("monotone transform needs a positive scale")
+        if self.exponent < 1 or self.exponent % 2 == 0:
+            raise ValueError("monotone transform needs a positive odd exponent")
 
     @classmethod
     def affine(cls, base: ScoreFunction, scale: float, offset: float = 0.0):
-        return cls(base, "affine", scale=scale, offset=offset)
+        return cls(base, scale=scale, offset=offset)
 
     @classmethod
     def odd_power(cls, base: ScoreFunction, exponent: int):
-        return cls(base, "odd-power", exponent=exponent)
+        return cls(base, exponent=exponent)
 
     def __call__(self, values):
-        if self.kind == "affine":
-            return self.scale * values + self.offset
-        return values ** self.exponent
+        return self.scale * values ** self.exponent + self.offset
 
 
 #: Anything score_batch understands: a registry id, a monotone rescaling
@@ -170,41 +163,31 @@ class MonotoneTransform:
 Scorer = Union[ScoreFunction, MonotoneTransform, Callable[[np.ndarray], np.ndarray]]
 
 
-def as_scorer(fn: Scorer) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve ``fn`` to a vectorized kernel over an (n, k) matrix."""
-    if isinstance(fn, ScoreFunction):
-        return _KERNELS[fn]
-    if isinstance(fn, MonotoneTransform):
-        kernel = _KERNELS[fn.base]
-        return lambda probs: fn(kernel(probs))
-    if callable(fn):
-        return fn
-    raise TypeError(f"cannot interpret {fn!r} as a score function")
-
-
 def score_batch(data: PredictionSet | np.ndarray, fn: Scorer) -> np.ndarray:
     """Score every vector of ``data``, preserving input order.
 
-    The registry kernels and their rescalings work row by row, so they
-    score one row block at a time, bit for bit as on the whole matrix,
-    and their temporaries stay one block in size. Any other callable gets
-    the whole matrix, since nothing says it works row by row, and must
-    return one score per row.
+    The registry kernels work row by row, so they score one row block at
+    a time, bit for bit as on the whole matrix, and their temporaries stay
+    one block in size; a rescaling maps its base kernel's scores. Any
+    other callable gets the whole matrix, since nothing says it works row
+    by row, and must return one score per row.
     """
     probs = data.probs if isinstance(data, PredictionSet) else np.atleast_2d(np.asarray(data, dtype=np.float64))
-    kernel = as_scorer(fn)
-    if not isinstance(fn, (ScoreFunction, MonotoneTransform)):
-        out = np.asarray(kernel(probs), dtype=np.float64)
-        if out.shape != probs.shape[:1]:
-            raise DimensionError(f"scorer output has shape {out.shape}, not one score per row of a {probs.shape} input")
+    if isinstance(fn, MonotoneTransform):
+        return fn(score_batch(probs, fn.base))
+    if isinstance(fn, ScoreFunction):
+        out = np.empty(probs.shape[0])
+        for rows in _row_blocks(*probs.shape):
+            out[rows] = _KERNELS[fn](probs[rows])
         return out
-    out = np.empty(probs.shape[0])
-    for rows in _row_blocks(*probs.shape):
-        out[rows] = kernel(probs[rows])
+    if not callable(fn):
+        raise TypeError(f"cannot interpret {fn!r} as a score function")
+    out = np.asarray(fn(probs), dtype=np.float64)
+    if out.shape != probs.shape[:1]:
+        raise DimensionError(f"scorer output has shape {out.shape}, not one score per row of a {probs.shape} input")
     return out
 
 
 def score(v, fn: Scorer) -> float:
     """Score a single probability vector (assumed already validated)."""
-    probs = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    return float(as_scorer(fn)(probs)[0])
+    return float(score_batch(v, fn)[0])

@@ -186,22 +186,14 @@ def true_accuracy(data: PredictionSet) -> MetricValue:
     return MetricValue(value, Convention.ACCURACY)
 
 
-def resample_indices(n: int, seed, n_sets: int = 1):
-    """Yield ``n_sets`` vectors of ``n`` row indices drawn with replacement.
-
-    They come in turn from one ``default_rng(seed)`` stream, drawn as the
-    blocks of :func:`_resample_blocks`. Every score works row by row, so
-    the scores of ``data.subset(idx)`` are ``scores[idx]`` bit for bit.
-    """
-    for block in _resample_blocks(n, seed, n_sets):
-        yield from block
-
-
 def _resample_blocks(n: int, seed, n_sets: int):
-    """The vectors of :func:`resample_indices` as (rows, n) arrays, one
-    ``integers`` call per :func:`_row_blocks` block of the (n_sets, n)
-    index matrix. The stream is the same as one ``integers(0, n, size=n)``
-    call per vector, and no more than one block is drawn at a time."""
+    """``n_sets`` vectors of ``n`` row indices drawn with replacement, as
+    (rows, n) arrays: one ``integers`` call per :func:`_row_blocks` block
+    of the (n_sets, n) index matrix, from one ``default_rng(seed)``
+    stream. The stream is the same as one ``integers(0, n, size=n)`` call
+    per vector, and no more than one block is drawn at a time. Every score
+    works row by row, so the scores of ``data.subset(idx)`` are
+    ``scores[idx]`` bit for bit."""
     rng = _rng(seed)
     for rows in _row_blocks(n_sets, n):
         yield rng.integers(0, n, size=(rows.stop - rows.start, n))

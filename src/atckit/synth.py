@@ -41,7 +41,9 @@ class Shift:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one synthetic prediction set."""
+    """The whole recipe for one synthetic prediction set. ``seed`` is any
+    seed ``simplex._rng`` takes, such as the sub-streams ``[seed, j]`` that
+    :func:`make_shift_pair` stores."""
 
     k: int
     n: int
@@ -88,7 +90,7 @@ def _force_argmax(probs: np.ndarray, designated: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> PredictionSet:
+def generate(spec: GeneratorSpec) -> PredictionSet:
     """Draw one labeled prediction set according to ``spec``.
 
     Per example: the true label comes from the label prior; a Bernoulli
@@ -99,8 +101,7 @@ def generate(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> Pre
     there (deterministic fallback after a bounded number of rounds, so
     generation always terminates). Temperature shift is applied last.
     """
-    if rng is None:
-        rng = _rng(spec.seed)
+    rng = _rng(spec.seed)
     k, n = spec.k, spec.n
 
     labels = rng.choice(k, size=n, p=_label_prior(spec))
@@ -157,10 +158,10 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
 def make_shift_pair(spec: GeneratorSpec) -> tuple[PredictionSet, PredictionSet]:
     """Independent (source, target) draw with the shift applied to the target.
 
-    The source comes from ``spec`` with no shift; the target repeats the
-    recipe with the spec's shift and independently drawn labels. Both
-    sets are labeled so benchmark ground truth exists.
+    The source comes from ``spec`` with no shift and sub-stream 0 of its
+    seed; the target repeats the recipe with the spec's shift and
+    sub-stream 1. Both sets are labeled so benchmark ground truth exists.
     """
-    source = generate(replace(spec, shift=Shift()), _rng(_sub_seed(spec.seed, 0)))
-    target = generate(spec, _rng(_sub_seed(spec.seed, 1)))
+    source = generate(replace(spec, shift=Shift(), seed=_sub_seed(spec.seed, 0)))
+    target = generate(replace(spec, seed=_sub_seed(spec.seed, 1)))
     return source, target

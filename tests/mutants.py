@@ -82,6 +82,17 @@ MUTANTS = {
     # the seed rule
     "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
     "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),
+    # the one resampler and the one monotone transform family
+    "resample-skips-row-0": ("simplex.py", "rng.integers(0, n, size=", "rng.integers(1, n, size="),
+    "transform-allows-even-exponent": (
+        "scores.py", "self.exponent < 1 or self.exponent % 2 == 0", "self.exponent < 1",
+    ),
+    # parse, validate, generate, fork and exit codes
+    "header-allows-one-class": ("io.py", "if len(prob_cols) < 2 or", "if len(prob_cols) < 1 or"),
+    "row-sum-tolerance-strict": ("simplex.py", "np.abs(sums - 1.0) > tolerance", "np.abs(sums - 1.0) >= tolerance"),
+    "forced-argmax-loses-its-margin": ("synth.py", "= 0.5 + eps", "= 0.5 - eps"),
+    "fork-on-one-cpu": ("harness.py", "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 1"),
+    "input-error-exit-code": ("cli.py", "_EXIT_INPUT_ERROR = 2", "_EXIT_INPUT_ERROR = 3"),
 }
 
 

@@ -17,7 +17,7 @@ from atckit import ScoreFunction, bootstrap_calibration, doc_estimate
 from atckit.errors import InvalidArgumentError
 from atckit.harness import DOC_REG_CALIBRATION_SETS
 from atckit.scores import SCORE_IDS, score_batch
-from atckit.simplex import Convention, MetricValue, check_estimation_pair
+from atckit.simplex import Convention, MetricValue, _sub_seed, check_estimation_pair
 
 from oracles import naive_learn_threshold
 
@@ -40,13 +40,14 @@ def estimate_metric(method, source, target, seed, calibration_sets=DOC_REG_CALIB
     """Target metric estimated by one of ``CANONICAL_METHODS``.
 
     ``seed`` only matters for ``doc-reg``, whose ``calibration_sets``
-    resamples of ``source`` are drawn from ``[seed, 1]``.
+    resamples of ``source`` are drawn from ``_sub_seed(seed, 1)``, which
+    draws as ``[seed, 1]`` and names a negative seed as the engine does.
     """
     if method in SCORE_IDS:
         return _atc_reference(source, target, ScoreFunction(method))
     if method == "doc":
         return doc_estimate(source, target)
     if method == "doc-reg":
-        calibration = bootstrap_calibration(source, calibration_sets, seed=[seed, 1])
+        calibration = bootstrap_calibration(source, calibration_sets, seed=_sub_seed(seed, 1))
         return doc_estimate(source, target, calibration)
     raise InvalidArgumentError(f"unknown method {method!r}")

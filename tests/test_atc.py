@@ -270,3 +270,36 @@ class TestOneRule:
         assert _bits(est.model.threshold, est.model.achieved_source_proportion, est.error) == expected
         assert _bits(model.threshold, model.achieved_source_proportion, value.error) == expected
         assert est.model.source_metric == model.source_metric == MetricValue(gamma, Convention.ERROR)
+
+
+class TestMonotoneRescalings:
+    """``scale * s ** exponent + offset`` keeps the base estimate's bits
+    whenever it keeps the distinct base scores distinct and in order."""
+
+    @given(
+        _tied_pair(),
+        st.sampled_from(tuple(ScoreFunction)),
+        st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.sampled_from((1, 3, 5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_an_order_kept_over_both_sets_keeps_the_estimate(self, pair, base, scale, offset, exponent):
+        source, target = pair
+        transform = MonotoneTransform(base, scale, offset, exponent)
+        for data in pair:  # the family holds the two formulas it replaced, value for value
+            s = score_batch(data, base)
+            for fn, old in (
+                (MonotoneTransform.affine(base, 2.0, 1.0), 2.0 * s + 1.0),
+                (MonotoneTransform.affine(base, 0.25, -3.0), 0.25 * s - 3.0),
+                (MonotoneTransform.odd_power(base, 3), s ** 3),
+                (MonotoneTransform.odd_power(base, 5), s ** 5),
+            ):
+                assert np.array_equal(score_batch(data, fn), old)
+        distinct = np.unique(np.concatenate([score_batch(source, base), score_batch(target, base)]))
+        if not np.all(np.diff(transform(distinct)) > 0):
+            return  # rounding merged two base scores: the estimate may move
+        est, reference = atc_estimate(source, target, transform), atc_estimate(source, target, base)
+        assert _bits(est.error, est.model.achieved_source_proportion) == _bits(
+            reference.error, reference.model.achieved_source_proportion
+        )

@@ -294,6 +294,15 @@ class TestEstimateWorker:
         assert self._run(monkeypatch, capsys, fork, argv) == (2, "", err, int(fork))
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    def test_unlabeled_source_named(self, tmp_path, monkeypatch, capsys, fork):
+        good, tgt = _write_pair(tmp_path)
+        unlabeled = tmp_path / "unlabeled.csv"
+        write_dump(atckit.PredictionSet(load_dump(good).probs), unlabeled)
+        argv = ["estimate", "--source", str(unlabeled), "--target", str(tgt)]
+        err = f"error: {unlabeled}: estimate needs a labeled source dump\n"
+        assert self._run(monkeypatch, capsys, fork, argv) == (2, "", err, int(fork))
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     def test_strict_sums_reaches_the_source_load(self, tmp_path, monkeypatch, capsys, fork):
         # a source row 1e-7 off is repaired by default and rejected under --strict-sums
         _, tgt = _write_pair(tmp_path)

@@ -1,20 +1,26 @@
-"""Every name a demo imports from atckit exists, and so does every name in ``__all__``.
+"""Every demo runs cleanly, every name it imports from atckit exists, and
+so does every name in ``__all__``.
 
-The demos are not run here (they take about as long as the rest of the
-suite); parsing them is enough to catch a renamed or deleted import. A
+Each demo runs in a fresh interpreter from an empty working directory
+and must exit 0 with nothing on stderr; the four take about 2 s
+together. Parsing them names a renamed or deleted import directly. A
 stale ``__all__`` entry breaks only ``from atckit import *``, so it is
 checked on its own.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import atckit
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _atckit_imports(path: Path):
@@ -48,6 +54,14 @@ def _resolves(module: str, name) -> bool:
 def test_demo_imports_resolve(demo):
     for module, name in _atckit_imports(demo):
         assert _resolves(module, name), f"{demo.name}: {module} has no {name!r}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout
 
 
 def test_all_names_exist_once():

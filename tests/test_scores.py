@@ -16,7 +16,7 @@ from atckit import (
     score,
     score_batch,
 )
-from atckit.scores import as_scorer
+from atckit import simplex
 from atckit.simplex import _row_blocks
 
 from oracles import js_divergence_reference, js_to_uniform_reference, neg_entropy_reference
@@ -210,11 +210,15 @@ class TestExactInvariance:
 class TestRowBlocks:
     """Registry kernels and their rescalings score one row block at a time."""
 
-    def test_blocks_give_the_whole_matrix_bits(self):
+    def test_blocks_give_the_whole_matrix_bits(self, monkeypatch):
         probs = PredictionSet(np.random.default_rng(4).dirichlet(np.full(1000, 0.1), 150)).probs
         assert len(list(_row_blocks(*probs.shape))) > 1
-        for fn in ALL_FNS + (MonotoneTransform.odd_power(ScoreFunction.JS_TO_UNIFORM, 3),):
-            assert np.array_equal(score_batch(probs, fn), as_scorer(fn)(probs))
+        fns = ALL_FNS + (MonotoneTransform.odd_power(ScoreFunction.JS_TO_UNIFORM, 3),)
+        blocked = [score_batch(probs, fn) for fn in fns]
+        monkeypatch.setattr(simplex, "_BLOCK_CELLS", probs.size)  # the whole matrix is one block
+        assert len(list(_row_blocks(*probs.shape))) == 1
+        for fn, scores in zip(fns, blocked):
+            assert np.array_equal(scores, score_batch(probs, fn))
 
     def test_memory_stays_within_a_block(self):
         probs = np.random.default_rng(5).dirichlet(np.ones(1000), 5000)  # 38 MiB
@@ -263,7 +267,9 @@ class TestMonotoneTransforms:
         with pytest.raises(ValueError):
             MonotoneTransform.odd_power(ScoreFunction.MAX_CONF, 2)
         with pytest.raises(ValueError):
-            MonotoneTransform(ScoreFunction.MAX_CONF, "exp")
+            MonotoneTransform(ScoreFunction.MAX_CONF, scale=2.0, offset=1.0, exponent=4)
+        with pytest.raises(ValueError):
+            MonotoneTransform(ScoreFunction.MAX_CONF, scale=0.0, exponent=3)
 
     def test_cube_preserves_order_on_negatives(self):
         # entropy scores are <= 0; the cube must not reorder them

@@ -30,7 +30,6 @@ from atckit.simplex import (
     _row_blocks,
     _sub_seed,
     derive_seed,
-    resample_indices,
 )
 
 
@@ -50,6 +49,13 @@ class TestValidateVector:
     def test_sum_within_tolerance_renormalized(self):
         v = validate_matrix([0.5, 0.5000004])[0]
         assert abs(v.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("step", [2.0**-20, -(2.0**-20)])
+    def test_sum_exactly_tolerance_from_one_accepted(self, step):
+        # 0.5 + step and the row sum 1 + step are exact, so the sum is tolerance away, not further
+        validate_matrix([0.5 + step, 0.5], tolerance=abs(step))
+        with pytest.raises(NotOnSimplexError):
+            validate_matrix([0.5 + 2 * step, 0.5], tolerance=abs(step))
 
     def test_tiny_negative_clamped(self):
         v = validate_matrix([1.0, -1e-9, 1e-9])[0]
@@ -208,16 +214,17 @@ class TestResampleIndices:
         assert [len(block) for block in _resample_blocks(n, seed, n_sets)] == rows
         rng = np.random.default_rng(seed)
         drawn = 0
-        for idx in resample_indices(n, seed, n_sets):
-            assert np.array_equal(idx, rng.integers(0, n, size=n))
-            drawn += 1
+        for block in _resample_blocks(n, seed, n_sets):
+            for idx in block:
+                assert np.array_equal(idx, rng.integers(0, n, size=n))
+                drawn += 1
         assert drawn == n_sets
 
     def test_consuming_holds_a_few_blocks(self):
         n = 50_000
         tracemalloc.start()
         try:
-            for _ in resample_indices(n, 3, 1000):
+            for _ in _resample_blocks(n, 3, 1000):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -260,7 +267,7 @@ class TestSeedRule:
         assert np.array_equal(
             sample_simplex(3, 2, np.random.default_rng(4)), np.random.default_rng(4).dirichlet(np.ones(3), size=2)
         )
-        (idx,) = resample_indices(5, np.random.SeedSequence(4))
+        (idx,) = next(_resample_blocks(5, np.random.SeedSequence(4), 1))
         assert np.array_equal(idx, np.random.default_rng(4).integers(0, 5, size=5))
 
     @pytest.mark.parametrize(
