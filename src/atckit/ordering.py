@@ -5,7 +5,8 @@ Two score functions are order-isomorphic when they induce identical
 are interchangeable for thresholded-confidence estimation. This module
 falsifies or fails-to-falsify that property on sampled and gridded
 points: a returned counterexample is a hard fact (it re-verifies), while
-consistency is only "no violation found on this sample".
+consistency is only "no violation on these points", though every pair of
+them is decided.
 
 All checks compare sign(s_a(p) - s_a(q)) against sign(s_b(p) - s_b(q)),
 where a difference within the equality tolerance counts as zero.
@@ -21,13 +22,11 @@ import numpy as np
 
 from .errors import DimensionError, InvalidArgumentError
 from .scores import Scorer, score_batch
-from .simplex import _rng, _sub_seed, check_shape
+from .simplex import _rng, _sub_seed
 
-#: Most points one check takes, for the sample and for a search pool. A
-#: consistent pair costs O(n log n), but a pair with a violation is scanned
-#: row by row up to its first violating row, and non-finite scores are
-#: always scanned that way, so the worst case stays quadratic.
-MAX_POINTS = 2000
+#: Most bytes one check of a sample or a search pool may hold: about
+#: k + 16 float64 words per point, for the point, its scores and the sort.
+_MAX_CHECK_BYTES = 2**30
 
 #: The search grid's spacing is 1 / _GRID_UNITS; ``simplex_grid`` scales by 0.1,
 #: as dividing by 10 would move the bits of grid points (3 * 0.1 != 3 / 10).
@@ -85,18 +84,21 @@ def check_pair(p, q, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> bool:
     return bool(_signs(va[0] - va[1], eps) == _signs(vb[0] - vb[1], eps))
 
 
-def _gap_not_kept(va: np.ndarray, vb: np.ndarray, eps: float) -> bool:
-    """Whether some points i, j of finite scores have a_i - a_j > eps but
-    b_i - b_j <= eps, in O(n log n).
+def _gap_not_kept(va: np.ndarray, vb: np.ndarray, eps: float):
+    """Rows (i, j), i < j, of two points p, q (in some order) with
+    a_p - a_q > eps but b_p - b_q <= eps, or None; O(n log n) for finite
+    scores.
 
     Float subtraction is monotone, so the j with a_i - a_j > eps are a
     prefix of the points sorted by a, and the smallest b_i - b_j over it
     is the one at the prefix's largest b. Such a j has a_j < a_i - eps,
     so the prefix ends at or before the search for the rounded a_i - eps;
     that end steps back one tie group at a time until the difference
-    itself exceeds eps.
+    itself exceeds eps. The witness is the point with the smallest such
+    gap (the lowest in the sort among equal gaps) and the first point of
+    its prefix at the prefix's largest b, so row order only breaks ties.
     """
-    order = np.argsort(va)
+    order = np.argsort(va, kind="stable")
     sa, sb = va[order], vb[order]
     top = np.maximum.accumulate(sb)
     group_start = np.searchsorted(sa, sa, side="left")
@@ -107,49 +109,36 @@ def _gap_not_kept(va: np.ndarray, vb: np.ndarray, eps: float) -> bool:
         if back.size == 0:
             break
         end[back] = group_start[end[back] - 1]
-    return bool(np.any(sb[rows] - top[end[rows] - 1] <= eps))
-
-
-def _first_violation(va: np.ndarray, vb: np.ndarray, eps: float):
-    """First pair i < j, in row-major order, whose signs disagree, or None.
-
-    Since fl(x - y) = -fl(y - x), a pair disagrees iff, taken in one of
-    its two orders (i, j), one function has s_i - s_j > eps and the other
-    does not; :func:`_gap_not_kept` decides that for finite scores, so a
-    consistent pair costs O(n log n). Otherwise one row of the pair
-    triangle is scanned at a time, so memory stays O(n), up to the first
-    row with a disagreement. A NaN difference never equals a sign, so it
-    disagrees.
-    """
-    finite = np.isfinite(va).all() and np.isfinite(vb).all()
-    if finite and not (_gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)):
+    gap = sb[rows] - top[end[rows] - 1]
+    if not np.any(gap <= eps):
         return None
-    v = np.stack([va, vb])
-    for i in range(v.shape[1] - 1):
-        signs = _signs(v[:, i, None] - v[:, i + 1 :], eps)
-        disagree = signs[0] != signs[1]
-        if disagree.any():
-            return i, i + 1 + int(disagree.argmax())
-    return None
+    r = rows[np.argmin(gap)]
+    return tuple(sorted(order[[r, np.argmax(sb[: end[r]])]].tolist()))
 
 
 def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> OrderingVerdict:
-    """Exhaustive pairwise ordering check over a given point set.
+    """Exact pairwise ordering check over a given point set.
 
-    ``pairs_checked`` is n(n-1)/2, the pairs the verdict covers. A
-    counterexample is the first violating pair (i, j), i < j, in row
-    order. A consistent pair is decided from sorted scores in
-    O(n log n); only a pair with a violation, or with non-finite scores,
-    is scanned row by row, stopping at its first violating row, which
-    is quadratic at worst. ``eps`` must be finite and non-negative.
+    ``pairs_checked`` is n(n-1)/2, and every one of those pairs is
+    decided, from the points sorted by each score, in O(n log n) time and
+    O(n) memory. Since fl(x - y) = -fl(y - x), a pair disagrees iff, taken
+    in one of its two orders, one function has s_i - s_j > eps and the
+    other does not. A counterexample is :func:`_gap_not_kept`'s witness
+    with a's differences above eps, or failing that with b's. Every score
+    must be finite: a non-finite one raises ``InvalidArgumentError`` that
+    names its point. ``eps`` must be finite and non-negative.
     """
     _check_eps(eps)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     va = score_batch(points, fn_a)
     vb = score_batch(points, fn_b)
+    finite = np.isfinite(va) & np.isfinite(vb)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InvalidArgumentError(f"point {bad} has a non-finite score ({va[bad]}, {vb[bad]})")
     pairs = n * (n - 1) // 2
-    hit = _first_violation(va, vb, eps)
+    hit = _gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)
     if hit is None:
         return OrderingVerdict(pairs, eps)
     i, j = hit
@@ -208,7 +197,7 @@ def search_counterexample(
     """
     if budget < 1:
         raise InvalidArgumentError("budget must be at least 1")
-    m = _pool_size(budget)
+    m = _pool_size(budget, k)
     if comb(_GRID_UNITS + k - 1, k - 1) > m:  # the size of the grid
         pool = sample_simplex(k, m, seed)
     else:
@@ -217,18 +206,21 @@ def search_counterexample(
     return verify_on_points(pool, fn_a, fn_b, eps).witness
 
 
-def _pool_size(budget: int) -> int:
-    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2).
-
-    A pool over ``MAX_POINTS`` is rejected, like an oversized sample.
-    """
+def _pool_size(budget: int, k: int) -> int:
+    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2),
+    rejected like an oversized sample."""
     m = max(2, (1 + isqrt(1 + 8 * budget)) // 2)
-    if m > MAX_POINTS:
-        raise InvalidArgumentError(
-            f"budget={budget} needs a search pool of {m} points, over "
-            f"MAX_POINTS={MAX_POINTS} (the pairwise check is quadratic at worst)"
-        )
+    _check_bytes(f"budget={budget} needs a search pool of", m, k)
     return m
+
+
+def _check_bytes(what: str, points: int, k: int) -> None:
+    need = points * (k + 16) * 8
+    if need > _MAX_CHECK_BYTES:
+        raise InvalidArgumentError(
+            f"{what} {points} points, which at k={k} need about {need} bytes, "
+            f"over the {_MAX_CHECK_BYTES} bytes one ordering check may hold"
+        )
 
 
 @dataclass(frozen=True)
@@ -257,11 +249,11 @@ def verify_equivalence_relation(
     draws the same pool, from a stream independent of the sample (also
     for ``seed`` None, which draws fresh entropy once for both). 0 skips
     the search, and a negative budget is rejected, as is an ``eps`` that
-    is negative, infinite or NaN, and a seed with a negative entry. The
-    sample and the search pool are capped at ``MAX_POINTS``, which bounds
-    the quadratic worst case of :func:`verify_on_points`. A verdict's
+    is negative, infinite or NaN, and a seed with a negative entry. A
+    sample or a search pool that one check would hold in more than
+    ``_MAX_CHECK_BYTES`` is rejected before anything is drawn. A verdict's
     ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool pairs
-    the search covered, whether or not it found a witness.
+    the search decided, whether or not it found a witness.
 
     The relation is reflexive and symmetric by construction, so the
     report lists the transitivity-violating triples and the resulting
@@ -271,16 +263,11 @@ def verify_equivalence_relation(
         raise InvalidArgumentError(f"k must be at least 2, got {k}")
     if n_points < 2:
         raise InvalidArgumentError(f"need at least two points to compare, got {n_points}")
-    if n_points > MAX_POINTS:
-        raise InvalidArgumentError(
-            f"n_points={n_points} exceeds max_points={MAX_POINTS} "
-            "(the pairwise check is quadratic at worst)"
-        )
     if search_budget < 0:
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
     _check_eps(eps)
-    pool = _pool_size(search_budget)  # rejects an oversized pool up front
-    check_shape(max(n_points, pool), k)
+    _check_bytes("a sample of", n_points, k)
+    pool = _pool_size(search_budget, k)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)
     if seed is None:  # one fresh draw, so every pair still searches the same pool

@@ -79,6 +79,15 @@ MUTANTS = {
     "prefix-search-side": ("ordering.py", 'sa - eps, side="right")', 'sa - eps, side="left")'),
     # makes _gap_not_kept's step-back loop spin for ever: killed by the timeout
     "group-start-side-spins": ("ordering.py", 'np.searchsorted(sa, sa, side="left")', 'np.searchsorted(sa, sa, side="right")'),
+    # the witness rule and the byte bound that replaced the point cap
+    "witness-partner-one-late": ("ordering.py", "np.argmax(sb[: end[r]])", "np.argmax(sb[: end[r] + 1])"),
+    "witness-gap-strict": ("ordering.py", "np.any(gap <= eps)", "np.any(gap < eps)"),
+    "witness-direction-b-first": (
+        "ordering.py",
+        "_gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)",
+        "_gap_not_kept(vb, va, eps) or _gap_not_kept(va, vb, eps)",
+    ),
+    "byte-bound-strict": ("ordering.py", "if need > _MAX_CHECK_BYTES:", "if need >= _MAX_CHECK_BYTES:"),
     # the seed rule
     "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
     "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),

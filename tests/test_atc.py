@@ -59,6 +59,11 @@ class TestLearnThreshold:
         with pytest.raises(EmptyInputError):
             learn_threshold([], 0.5)
 
+    @pytest.mark.parametrize("gamma", [-0.25, 1.5, float("nan")])
+    def test_source_metric_outside_the_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=rf"^source metric {gamma!r} outside \[0, 1\]$"):
+            learn_threshold([0.3, 0.7], gamma)
+
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError):
             learn_threshold([0.1, float("nan")], 0.5)

@@ -480,6 +480,15 @@ class TestVerify:
         assert violated["status"] == "counterexample"
         assert "witness" in violated
 
+    def test_a_sample_past_the_old_2000_point_cap(self, capsys):
+        code = main(["verify", "--k", "3", "--points", "100000", "--budget", "0", "--seed", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        records = [json.loads(line) for line in out if line.startswith("{")]
+        assert {r["pairs_checked"] for r in records} == {100_000 * 99_999 // 2}
+        assert out[-2:] == ['classes: [["js"], ["l1u"], ["l2n", "l2u"], ["max"], ["negent"]]',
+                            "expected-classes match: True"]
+
     def test_explicit_quadratic_pair_at_high_dimension(self, capsys):
         code = main(
             ["verify", "--k", "50", "--points", "300", "--budget", "5000",
@@ -564,11 +573,11 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "0"],
     ["verify", "--k", "1"],
     ["verify", "--k", "3", "--points", "1"],
-    ["verify", "--k", "3", "--points", "3000"],
+    ["verify", "--k", "3", "--points", "100000000"],
     ["verify", "--k", "1", "--pair", "l2n,max"],
     ["verify", "--k", "3", "--points", "50", "--budget", "-3"],
     ["verify", "--k", "3", "--points", "50", "--budget", "-3", "--pair", "l2n,l2u"],
-    ["verify", "--k", "3", "--points", "10", "--budget", "2001000"],
+    ["verify", "--k", "3", "--points", "10", "--budget", "100000000000000"],
     ["verify", "--k", "3", "--points", "10", "--eps", "nan"],
     ["verify", "--k", "3", "--points", "10", "--eps", "inf"],
     ["verify", "--k", "3", "--points", "10", "--eps", "-1"],
@@ -675,10 +684,9 @@ class TestBadFlagValues:
         "argv, rows_x_k",
         [
             (["generate", "--k", "{}", "--n", "1"], "1 x {}"),
-            (["verify", "--k", "{}", "--points", "2", "--budget", "0"], "2 x {}"),
             (["benchmark", "--synthetic", "--k", "3", "--n", "{}"], "{} x 3"),
         ],
-        ids=["generate", "verify", "benchmark"],
+        ids=["generate", "benchmark"],
     )
     def test_impossible_size_is_input_error(self, tmp_path, capsys, size, argv, rows_x_k):
         outputs = {"benchmark": ["--out-dir", str(tmp_path / "o")], "generate": ["--out", str(tmp_path / "x")]}
@@ -692,6 +700,14 @@ class TestBadFlagValues:
         else:
             shape = rows_x_k.format(size)
             assert captured.err == f"error: a {shape} float64 array exceeds the addressable size\n"
+
+    @pytest.mark.parametrize("size", [10**17, 10**19])
+    def test_impossible_verify_size_meets_the_byte_bound(self, capsys, size):
+        assert main(["verify", "--k", str(size), "--points", "2", "--budget", "0"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: a sample of 2 points, which at k={size} need about {2 * (size + 16) * 8} bytes, "
+            "over the 1073741824 bytes one ordering check may hold\n"
+        ))
 
     @pytest.mark.parametrize("temperature, row", [("1e16", 1), ("1e-3", 178)])
     def test_temperature_that_loses_an_argmax_prints_one_error_and_no_warning(self, tmp_path, temperature, row):

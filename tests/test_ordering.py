@@ -43,8 +43,12 @@ def _verdict_of(fn_a, fn_b, **kwargs):
     return verify_equivalence_relation((fn_a, fn_b), **kwargs).verdicts[(0, 1)]
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the size was checked")
+
+
 def _dense_check_inputs(monkeypatch):
-    """Record the points of every dense check the verifier runs, in order."""
+    """Record the points of every ``verify_on_points`` call the verifier makes, in order."""
     seen = []
 
     def recording(points, *args, **kwargs):
@@ -102,9 +106,21 @@ class TestVerifyOnSample:
             witness.p, witness.q, ScoreFunction.MAX_CONF, ScoreFunction.NEG_ENTROPY
         )
 
-    def test_point_cap_enforced(self):
-        with pytest.raises(ValueError, match="n_points=3000 exceeds max_points=2000"):
-            _verdict_of(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k=2, n_points=3000, seed=0)
+    def test_sample_over_the_byte_bound_rejected(self, monkeypatch):
+        monkeypatch.setattr(ordering, "sample_simplex", _no_sampling)
+        # 10**9 points at k=2 hold about 144 GB, against the 1 GiB one check may hold
+        with pytest.raises(InvalidArgumentError, match=(
+            "^a sample of 1000000000 points, which at k=2 need about 144000000000 bytes, "
+            "over the 1073741824 bytes one ordering check may hold$"
+        )):
+            _verdict_of(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k=2, n_points=10**9, seed=0)
+
+    def test_sample_of_exactly_the_byte_bound_accepted(self, monkeypatch):
+        monkeypatch.setattr(ordering, "_MAX_CHECK_BYTES", 10 * (3 + 16) * 8)
+        verdict = _verdict_of(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k=3, n_points=10, seed=0)
+        assert verdict.pairs_checked == 45
+        with pytest.raises(InvalidArgumentError, match="^a sample of 11 points, which at k=3 need about 1672 bytes"):
+            _verdict_of(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k=3, n_points=11, seed=0)
 
     def test_each_function_orders_like_itself(self):
         points = sample_simplex(4, 300, seed=2)
@@ -194,11 +210,27 @@ def _grid_pairs(draw):
     return va, vb, eps
 
 
-class TestRowScanMatchesDenseOracle:
-    def _assert_matches_oracle(self, va, vb, eps):
+@st.composite
+def _tie_free_pairs(draw):
+    """(scores a, scores b, a permutation of their rows): no two points share a score."""
+    n = draw(st.integers(2, 15))
+    distinct = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n, max_size=n, unique=True)
+    va = np.array(draw(distinct), dtype=np.float64)
+    vb = np.array(draw(distinct), dtype=np.float64)
+    return va, vb, np.array(draw(st.permutations(range(n))))
+
+
+class TestWitnessAgreesWithDenseOracle:
+    def _assert_agrees_with_oracle(self, va, vb, eps):
         n = va.shape[0]
         points = np.arange(n, dtype=np.float64)[:, None]
-        with mock.patch.object(ordering, "_signs", wraps=ordering._signs) as row_scan:
+        finite = np.isfinite(va) & np.isfinite(vb)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            with pytest.raises(InvalidArgumentError, match=rf"^point {bad} has a non-finite score"):
+                verify_on_points(points, _lookup(va), _lookup(vb), eps)
+            return
+        with mock.patch.object(ordering, "_signs", wraps=ordering._signs) as signs:
             verdict = verify_on_points(points, _lookup(va), _lookup(vb), eps)
         hit = dense_first_violation(va, vb, eps)
         assert verdict.pairs_checked == n * (n - 1) // 2
@@ -206,25 +238,68 @@ class TestRowScanMatchesDenseOracle:
         if hit is None:
             assert verdict.status == "consistent-on-sample"
             assert verdict.witness is None
-            if np.isfinite(va).all() and np.isfinite(vb).all():
-                assert row_scan.call_count == 0  # decided by the sort alone
+            assert signs.call_count == 0  # decided by the sorts alone
             return
-        i, j = hit
         w = verdict.witness
         assert verdict.status == "counterexample"
-        assert (w.p.tolist(), w.q.tolist()) == ([i], [j])
+        i, j = int(w.p[0]), int(w.q[0])
+        assert (w.p.tolist(), w.q.tolist()) == ([i], [j]) and i < j
+        assert not check_pair(w.p, w.q, _lookup(va), _lookup(vb), eps)
+        assert dense_first_violation(va[[i, j]], vb[[i, j]], eps) == (0, 1)
         got = [_bits(x) for x in (w.score_a_p, w.score_a_q, w.score_b_p, w.score_b_q)]
         assert got == [_bits(x) for x in (va[i], va[j], vb[i], vb[j])]
 
     @settings(max_examples=250, deadline=None)
     @given(case=_score_pairs(), eps=st.sampled_from([0.0, 1e-12, 1e-3]))
-    def test_equals_dense_oracle_bit_for_bit(self, case, eps):
-        self._assert_matches_oracle(*case, eps)
+    def test_agrees_with_dense_oracle(self, case, eps):
+        self._assert_agrees_with_oracle(*case, eps)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_grid_pairs())
-    def test_equals_dense_oracle_on_a_tolerance_grid(self, case):
-        self._assert_matches_oracle(*case)
+    def test_agrees_with_dense_oracle_on_a_tolerance_grid(self, case):
+        self._assert_agrees_with_oracle(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_tie_free_pairs(), eps=st.sampled_from([0.0, 1e-12, 1e-3]))
+    def test_permuted_rows_give_the_same_witness_points(self, case, eps):
+        va, vb, perm = case
+        points = np.arange(va.shape[0], dtype=np.float64)[:, None]
+        found = verify_on_points(points, _lookup(va), _lookup(vb), eps).witness
+        moved = verify_on_points(points[perm], _lookup(va), _lookup(vb), eps).witness
+        assert (found is None) == (moved is None)
+        if found is not None:
+            assert sorted([found.p[0], found.q[0]]) == sorted([moved.p[0], moved.q[0]])
+
+    @pytest.mark.parametrize(
+        "va, vb, eps, witness",
+        [
+            # a's differences: the rows' gaps are 5, -1 and -6, so row 3 with the
+            # prefix's top at row 1; the dense oracle's first pair is (0, 3)
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 5.0, 4.0, -1.0], 0.0, (1, 3)),
+            # a's differences give (1, 2); b's alone would give (0, 2)
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 5.0, -1.0, 4.0], 0.0, (1, 2)),
+            # a has no difference above eps, so b's give the witness
+            ([0.0, 0.0, 0.0], [2.0, 0.0, 1.0], 0.0, (1, 2)),
+            # row 1's gap 5e-4 beats row 2's 8e-4, and the prefix of both ends at row 0
+            ([0.0, 0.0015, 0.002], [0.0, 0.0005, 0.0008], 1e-3, (0, 1)),
+            # a gap of exactly eps counts
+            ([0.0, 2.0], [0.0, 1.0], 1.0, (0, 1)),
+        ],
+    )
+    def test_the_witness_rule(self, va, vb, eps, witness):
+        va, vb = np.array(va), np.array(vb)
+        self._assert_agrees_with_oracle(va, vb, eps)
+        points = np.arange(va.shape[0], dtype=np.float64)[:, None]
+        w = verify_on_points(points, _lookup(va), _lookup(vb), eps).witness
+        assert (int(w.p[0]), int(w.q[0])) == witness
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_names_its_first_point(self, bad):
+        va, vb = np.array([0.0, 1.0, 2.0, bad]), np.array([0.0, bad, 2.0, 3.0])
+        points = np.arange(4, dtype=np.float64)[:, None]
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("sorted")):
+            with pytest.raises(InvalidArgumentError, match=rf"^point 1 has a non-finite score \(1.0, {bad}\)$"):
+                verify_on_points(points, _lookup(va), _lookup(vb))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize(
@@ -233,21 +308,21 @@ class TestRowScanMatchesDenseOracle:
          ([0.0, 0.5], [0.5, 0.0])],
     )
     def test_fewer_than_three_points(self, va, vb, eps):
-        self._assert_matches_oracle(np.array(va, dtype=np.float64), np.array(vb, dtype=np.float64), eps)
+        self._assert_agrees_with_oracle(np.array(va, dtype=np.float64), np.array(vb, dtype=np.float64), eps)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-3])
     def test_a_difference_of_exactly_eps_is_a_tie(self, eps):
         va, vb = np.array([0.0, eps, 5.0]), np.array([0.0, 0.0, -5.0])
         assert dense_first_violation(va, vb, eps) == (0, 2)  # (0, 1) ties under both
-        self._assert_matches_oracle(va, vb, eps)
-        self._assert_matches_oracle(va[:2], va[:2].copy(), eps)
+        self._assert_agrees_with_oracle(va, vb, eps)
+        self._assert_agrees_with_oracle(va[:2], va[:2].copy(), eps)
 
     def test_a_point_at_the_rounded_search_key_is_in_the_prefix(self):
         eps = 1e-3
         high = 9 * eps
         low = high - eps  # the key of high's search, rounded down
         assert high - low > eps
-        self._assert_matches_oracle(np.array([low, high]), np.zeros(2), eps)
+        self._assert_agrees_with_oracle(np.array([low, high]), np.zeros(2), eps)
 
     def test_the_prefix_steps_back_past_rounded_differences(self):
         # 1 - u rounds to eps for the five u just below 2**-30, so the search
@@ -255,17 +330,22 @@ class TestRowScanMatchesDenseOracle:
         eps = 1.0 - 2.0**-30
         va = np.array([1.0, *(2.0**-30 - i * 2.0**-60 for i in range(5)), 2.0**-30 - 2.0**-53])
         assert [1.0 - u > eps for u in va[1:]] == [False] * 5 + [True]
-        self._assert_matches_oracle(va, va.copy(), eps)
+        self._assert_agrees_with_oracle(va, va.copy(), eps)
 
-    def test_consistent_pair_skips_the_row_scan(self, monkeypatch):
-        def row_scan(delta, eps):
-            raise AssertionError("a consistent pair reached the quadratic row scan")
+    def test_only_the_witness_is_compared_pairwise(self, monkeypatch):
+        sizes = []
 
-        monkeypatch.setattr(ordering, "_signs", row_scan)
-        points = sample_simplex(3, ordering.MAX_POINTS, seed=0)
-        verdict = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM)
-        assert verdict.consistent
-        assert verdict.pairs_checked == 2000 * 1999 // 2
+        def signs(delta, eps):
+            sizes.append(np.size(delta))
+            return np.where(np.abs(delta) <= eps, 0.0, np.sign(delta))
+
+        monkeypatch.setattr(ordering, "_signs", signs)
+        points = sample_simplex(3, 10**5, seed=0)
+        consistent = verify_on_points(points, ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM)
+        violated = verify_on_points(points, ScoreFunction.MAX_CONF, ScoreFunction.NEG_ENTROPY)
+        assert consistent.consistent and not violated.consistent
+        assert consistent.pairs_checked == violated.pairs_checked == 10**5 * (10**5 - 1) // 2
+        assert sizes == [1, 1]  # check_pair's two signs for the one witness
 
     @pytest.mark.parametrize("swap", [None, 3, 400, 998])
     def test_finds_a_violation_in_a_late_row(self, swap):
@@ -273,7 +353,7 @@ class TestRowScanMatchesDenseOracle:
         vb = va.copy()
         if swap is not None:  # one adjacent pair in swapped order, past the first rows
             vb[[swap, swap + 1]] = vb[[swap + 1, swap]]
-        self._assert_matches_oracle(va, vb, 1e-12)
+        self._assert_agrees_with_oracle(va, vb, 1e-12)
 
     @pytest.mark.parametrize(
         "fn_a, fn_b, consistent",
@@ -282,8 +362,9 @@ class TestRowScanMatchesDenseOracle:
             (ScoreFunction.MAX_CONF, ScoreFunction.NEG_ENTROPY, False),
         ],
     )
-    def test_memory_stays_below_one_pair_matrix(self, fn_a, fn_b, consistent):
-        points = sample_simplex(3, ordering.MAX_POINTS, seed=0)
+    def test_memory_stays_within_the_byte_bound(self, fn_a, fn_b, consistent):
+        n = 10**5
+        points = sample_simplex(3, n, seed=0)
         tracemalloc.start()
         try:
             verdict = verify_on_points(points, fn_a, fn_b)
@@ -291,7 +372,7 @@ class TestRowScanMatchesDenseOracle:
         finally:
             tracemalloc.stop()
         assert verdict.consistent is consistent
-        assert peak <= 2**20  # one 2000 x 2000 float64 matrix is 30.5 MiB
+        assert peak <= 16 * 8 * n  # the bound's 16 words per point, besides the point itself
 
 
 class TestSearchCounterexample:
@@ -327,12 +408,14 @@ class TestSearchCounterexample:
         with pytest.raises(ValueError):
             search_counterexample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 0, seed=0)
 
-    def test_pool_over_point_cap_rejected(self):
-        # budget 2,001,000 asks for a 2001-point pool
-        with pytest.raises(ValueError, match="search pool of 2001 points"):
-            search_counterexample(
-                ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 2_001_000, seed=0
-            )
+    def test_pool_over_the_byte_bound_rejected(self, monkeypatch):
+        monkeypatch.setattr(ordering, "sample_simplex", _no_sampling)
+        # budget 10**14 asks for a pool of 14,142,136 points, about 2.1 GB at k=3
+        with pytest.raises(InvalidArgumentError, match=(
+            "^budget=100000000000000 needs a search pool of 14142136 points, which at k=3 "
+            "need about 2149604672 bytes, over the 1073741824 bytes one ordering check may hold$"
+        )):
+            search_counterexample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 10**14, seed=0)
 
     def test_pool_reaches_beyond_one_face_at_k6(self, monkeypatch):
         # the 0.1 grid has 3003 points at k=6, more than the 447-point pool
@@ -399,12 +482,9 @@ class TestEquivalenceRelation:
         assert not np.array_equal(seen[0], samples[0])  # a new draw per call
 
     def test_oversized_search_pool_rejected_before_sampling(self, monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the budget was checked")
-
-        monkeypatch.setattr(ordering, "sample_simplex", no_sampling)
-        with pytest.raises(ValueError, match="search pool of 2001 points"):
-            verify_equivalence_relation(ALL_FNS, k=3, n_points=10, seed=0, search_budget=2_001_000)
+        monkeypatch.setattr(ordering, "sample_simplex", _no_sampling)
+        with pytest.raises(InvalidArgumentError, match="^budget=100000000000000 needs a search pool of 14142136 "):
+            verify_equivalence_relation(ALL_FNS, k=3, n_points=10, seed=0, search_budget=10**14)
 
 
 _WITNESS = OrderingWitness(np.zeros(2), np.ones(2), 0.0, 1.0, 1.0, 0.0)

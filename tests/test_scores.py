@@ -232,6 +232,11 @@ class TestRowBlocks:
             # js on the whole matrix held four (5000, 1000) arrays, about 160 MiB
             assert peak <= 4 * 2**20, fn
 
+    @pytest.mark.parametrize("fn", ["max", 3, None])
+    def test_a_non_callable_is_not_a_score_function(self, fn):
+        with pytest.raises(TypeError, match=f"^cannot interpret {fn!r} as a score function$"):
+            score_batch(np.full((2, 2), 0.5), fn)
+
     def test_any_other_callable_gets_the_whole_matrix(self):
         shapes = []
 

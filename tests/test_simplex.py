@@ -89,6 +89,10 @@ class TestValidateVector:
         with pytest.raises(DimensionError):
             validate_matrix([1.0])
 
+    def test_a_stack_of_matrices_rejected(self):
+        with pytest.raises(DimensionError, match="^expected a matrix of row vectors, got ndim=3$"):
+            validate_matrix(np.full((2, 2, 2), 0.5))
+
     def test_nan_rejected(self):
         with pytest.raises(NotOnSimplexError):
             validate_matrix([0.5, float("nan")])
