@@ -25,7 +25,8 @@ from .scores import Scorer, score_batch
 from .simplex import _rng, _sub_seed
 
 #: Most bytes one check of a sample or a search pool may hold: about
-#: k + 16 float64 words per point, for the point, its scores and the sort.
+#: k + 14 + f float64 words per point, for the point, the scores of its
+#: f functions and the sort.
 _MAX_CHECK_BYTES = 2**30
 
 #: The search grid's spacing is 1 / _GRID_UNITS; ``simplex_grid`` scales by 0.1,
@@ -116,6 +117,33 @@ def _gap_not_kept(va: np.ndarray, vb: np.ndarray, eps: float):
     return tuple(sorted(order[[r, np.argmax(sb[: end[r]])]].tolist()))
 
 
+def _verdicts(points, fns, pairs, eps: float) -> dict:
+    """The verdict of every index pair (i, j) of ``pairs`` on ``points``, each
+    decided as in :func:`verify_on_points`. Every function of a pair is
+    scored once, before any pair is decided, and its scores are shared."""
+    _check_eps(eps)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = points.shape[0]
+    scores = {i: score_batch(points, fns[i]) for i in sorted({i for pair in pairs for i in pair})}
+    verdicts = {}
+    for i, j in pairs:
+        va, vb = scores[i], scores[j]
+        finite = np.isfinite(va) & np.isfinite(vb)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise InvalidArgumentError(f"point {bad} has a non-finite score ({va[bad]}, {vb[bad]})")
+        hit = _gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)
+        witness = None
+        if hit is not None:
+            p, q = hit
+            witness = OrderingWitness(points[p].copy(), points[q].copy(), *map(float, (va[p], va[q], vb[p], vb[q])))
+            # a reported counterexample must survive an independent re-evaluation
+            if check_pair(witness.p, witness.q, fns[i], fns[j], eps):
+                raise AssertionError("violation did not reproduce on re-evaluation")
+        verdicts[(i, j)] = OrderingVerdict(n * (n - 1) // 2, eps, witness)
+    return verdicts
+
+
 def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> OrderingVerdict:
     """Exact pairwise ordering check over a given point set.
 
@@ -128,32 +156,7 @@ def verify_on_points(points, fn_a: Scorer, fn_b: Scorer, eps: float = 1e-12) -> 
     must be finite: a non-finite one raises ``InvalidArgumentError`` that
     names its point. ``eps`` must be finite and non-negative.
     """
-    _check_eps(eps)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = points.shape[0]
-    va = score_batch(points, fn_a)
-    vb = score_batch(points, fn_b)
-    finite = np.isfinite(va) & np.isfinite(vb)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise InvalidArgumentError(f"point {bad} has a non-finite score ({va[bad]}, {vb[bad]})")
-    pairs = n * (n - 1) // 2
-    hit = _gap_not_kept(va, vb, eps) or _gap_not_kept(vb, va, eps)
-    if hit is None:
-        return OrderingVerdict(pairs, eps)
-    i, j = hit
-    witness = OrderingWitness(
-        p=points[i].copy(),
-        q=points[j].copy(),
-        score_a_p=float(va[i]),
-        score_a_q=float(va[j]),
-        score_b_p=float(vb[i]),
-        score_b_q=float(vb[j]),
-    )
-    # a reported counterexample must survive an independent re-evaluation
-    if check_pair(witness.p, witness.q, fn_a, fn_b, eps):
-        raise AssertionError("violation did not reproduce on re-evaluation")
-    return OrderingVerdict(pairs, eps, witness)
+    return _verdicts(points, (fn_a, fn_b), [(0, 1)], eps)[(0, 1)]
 
 
 def sample_simplex(k: int, n_points: int, seed) -> np.ndarray:
@@ -195,27 +198,26 @@ def search_counterexample(
     left out, so the pool covers the whole simplex rather than one face
     of it. Returns a verified witness or None.
     """
+    if k < 2:
+        raise InvalidArgumentError(f"k must be at least 2, got {k}")
     if budget < 1:
         raise InvalidArgumentError("budget must be at least 1")
-    m = _pool_size(budget, k)
+    return _verdicts(_search_pool(k, budget, seed, 2), (fn_a, fn_b), [(0, 1)], eps)[(0, 1)].witness
+
+
+def _search_pool(k: int, budget: int, seed, n_fns: int) -> np.ndarray:
+    """:func:`search_counterexample`'s pool for a ``budget`` of at least 1,
+    rejected like an oversized sample before it is drawn."""
+    m = (1 + isqrt(1 + 8 * budget)) // 2
+    _check_bytes(f"budget={budget} needs a search pool of", m, k, n_fns)
     if comb(_GRID_UNITS + k - 1, k - 1) > m:  # the size of the grid
-        pool = sample_simplex(k, m, seed)
-    else:
-        grid = simplex_grid(k)
-        pool = np.vstack([grid, sample_simplex(k, m - grid.shape[0], seed)])
-    return verify_on_points(pool, fn_a, fn_b, eps).witness
+        return sample_simplex(k, m, seed)
+    grid = simplex_grid(k)
+    return np.vstack([grid, sample_simplex(k, m - grid.shape[0], seed)])
 
 
-def _pool_size(budget: int, k: int) -> int:
-    """Largest search pool m with m*(m-1)/2 <= ``budget`` (at least 2),
-    rejected like an oversized sample."""
-    m = max(2, (1 + isqrt(1 + 8 * budget)) // 2)
-    _check_bytes(f"budget={budget} needs a search pool of", m, k)
-    return m
-
-
-def _check_bytes(what: str, points: int, k: int) -> None:
-    need = points * (k + 16) * 8
+def _check_bytes(what: str, points: int, k: int, n_fns: int) -> None:
+    need = points * (k + 14 + n_fns) * 8
     if need > _MAX_CHECK_BYTES:
         raise InvalidArgumentError(
             f"{what} {points} points, which at k={k} need about {need} bytes, "
@@ -244,16 +246,17 @@ def verify_equivalence_relation(
 
     Each pair of positions i < j is checked on the same ``n_points``
     uniform samples from the simplex, so the verdicts are comparable.
-    With ``search_budget`` > 0, a pair that looks consistent there is
-    also attacked with :func:`search_counterexample`; every pair's search
-    draws the same pool, from a stream independent of the sample (also
-    for ``seed`` None, which draws fresh entropy once for both). 0 skips
-    the search, and a negative budget is rejected, as is an ``eps`` that
-    is negative, infinite or NaN, and a seed with a negative entry. A
-    sample or a search pool that one check would hold in more than
-    ``_MAX_CHECK_BYTES`` is rejected before anything is drawn. A verdict's
-    ``pairs_checked`` counts the sample pairs plus the m(m-1)/2 pool pairs
-    the search decided, whether or not it found a witness.
+    With ``search_budget`` > 0, the pairs that look consistent there are
+    checked again on one pool, built as :func:`search_counterexample`
+    builds it and drawn once for all of them, from a stream independent
+    of the sample (also for ``seed`` None, which draws fresh entropy once
+    for both). The function at each position is scored once per point
+    set. 0 skips the search, and a negative budget is rejected, as is an
+    ``eps`` that is negative, infinite or NaN, and a seed with a negative
+    entry. A sample or a search pool that one check would hold in more
+    than ``_MAX_CHECK_BYTES`` is rejected before anything is drawn. A
+    verdict's ``pairs_checked`` counts the sample pairs plus the m(m-1)/2
+    pool pairs the search decided, whether or not it found a witness.
 
     The relation is reflexive and symmetric by construction, so the
     report lists the transitivity-violating triples and the resulting
@@ -266,25 +269,21 @@ def verify_equivalence_relation(
     if search_budget < 0:
         raise InvalidArgumentError(f"search_budget must not be negative, got {search_budget}")
     _check_eps(eps)
-    _check_bytes("a sample of", n_points, k)
-    pool = _pool_size(search_budget, k)  # rejects an oversized pool up front
     fns = tuple(fns)
     n_fns = len(fns)
-    if seed is None:  # one fresh draw, so every pair still searches the same pool
+    _check_bytes("a sample of", n_points, k, n_fns)
+    if seed is None:  # one fresh draw, so the sample and the pool stay independent
         seed = np.random.SeedSequence().entropy
-    points = sample_simplex(k, n_points, seed)
-    search_seed = _sub_seed(seed, 1)
-
-    verdicts: dict = {}
+    # drawn first, so that an oversized pool is rejected before the sample is drawn
+    pool = _search_pool(k, search_budget, _sub_seed(seed, 1), n_fns) if search_budget > 0 else None
+    verdicts = _verdicts(sample_simplex(k, n_points, seed), fns, list(combinations(range(n_fns), 2)), eps)
+    unresolved = [pair for pair, verdict in verdicts.items() if verdict.consistent]
+    if pool is not None and unresolved:
+        for pair, verdict in _verdicts(pool, fns, unresolved, eps).items():
+            verdicts[pair] = OrderingVerdict(verdicts[pair].pairs_checked + verdict.pairs_checked, eps, verdict.witness)
     consistent = np.ones((n_fns, n_fns), dtype=bool)
-    for i, j in combinations(range(n_fns), 2):
-        verdict = verify_on_points(points, fns[i], fns[j], eps)
-        if verdict.consistent and search_budget > 0:
-            witness = search_counterexample(fns[i], fns[j], k, search_budget, search_seed, eps)
-            verdict = OrderingVerdict(verdict.pairs_checked + comb(pool, 2), eps, witness)
-        verdicts[(i, j)] = verdict
+    for (i, j), verdict in verdicts.items():
         consistent[i, j] = consistent[j, i] = verdict.consistent
-
     violations = tuple(
         (a, b, c)
         for a, b, c in permutations(range(n_fns), 3)

@@ -170,9 +170,13 @@ def score_batch(data: PredictionSet | np.ndarray, fn: Scorer) -> np.ndarray:
     a time, bit for bit as on the whole matrix, and their temporaries stay
     one block in size; a rescaling maps its base kernel's scores. Any
     other callable gets the whole matrix, since nothing says it works row
-    by row, and must return one score per row.
+    by row, and must return one score per row. An input that is not an
+    (n, k) matrix with k >= 1, once a single vector is read as one row,
+    raises ``DimensionError`` before anything is scored.
     """
     probs = data.probs if isinstance(data, PredictionSet) else np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if probs.ndim != 2 or probs.shape[1] < 1:
+        raise DimensionError(f"scores need an (n, k) matrix with k >= 1, got shape {probs.shape}")
     if isinstance(fn, MonotoneTransform):
         return fn(score_batch(probs, fn.base))
     if isinstance(fn, ScoreFunction):

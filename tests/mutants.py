@@ -88,6 +88,13 @@ MUTANTS = {
         "_gap_not_kept(vb, va, eps) or _gap_not_kept(va, vb, eps)",
     ),
     "byte-bound-strict": ("ordering.py", "if need > _MAX_CHECK_BYTES:", "if need >= _MAX_CHECK_BYTES:"),
+    # the one verdict loop: scores shared by the pairs, one pool for every unresolved pair
+    "pool-pairs-from-the-sample": (
+        "ordering.py",
+        "verdicts[pair].pairs_checked + verdict.pairs_checked",
+        "verdicts[pair].pairs_checked + verdicts[pair].pairs_checked",
+    ),
+    "pair-scored-by-one-function": ("ordering.py", "va, vb = scores[i], scores[j]", "va, vb = scores[i], scores[i]"),
     # the seed rule
     "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
     "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),

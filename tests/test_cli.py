@@ -705,7 +705,7 @@ class TestBadFlagValues:
     def test_impossible_verify_size_meets_the_byte_bound(self, capsys, size):
         assert main(["verify", "--k", str(size), "--points", "2", "--budget", "0"]) == 2
         assert capsys.readouterr() == ("", (
-            f"error: a sample of 2 points, which at k={size} need about {2 * (size + 16) * 8} bytes, "
+            f"error: a sample of 2 points, which at k={size} need about {2 * (size + 14 + 6) * 8} bytes, "
             "over the 1073741824 bytes one ordering check may hold\n"
         ))
 

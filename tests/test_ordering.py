@@ -1,5 +1,6 @@
 """Order-isomorphism verification and counterexample search."""
 
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -32,6 +33,7 @@ from atckit import (
 )
 from atckit import ordering
 from atckit.ordering import sample_simplex
+from atckit.simplex import _sub_seed
 
 from oracles import bfs_components, dense_first_violation
 
@@ -43,19 +45,35 @@ def _verdict_of(fn_a, fn_b, **kwargs):
     return verify_equivalence_relation((fn_a, fn_b), **kwargs).verdicts[(0, 1)]
 
 
+#: Registry scores and rescalings of them, for drawing tuples of functions.
+_SCORERS = st.one_of(
+    st.sampled_from(ALL_FNS),
+    st.builds(MonotoneTransform.affine, st.sampled_from(ALL_FNS), st.sampled_from([0.5, 3.0]), st.just(-2.0)),
+    st.builds(MonotoneTransform.odd_power, st.sampled_from(ALL_FNS), st.just(3)),
+)
+
+
+def _fields(verdict):
+    """A verdict as comparable values: its witness's points as lists."""
+    w = verdict.witness
+    found = w and (w.p.tolist(), w.q.tolist(), w.score_a_p, w.score_a_q, w.score_b_p, w.score_b_q)
+    return verdict.pairs_checked, verdict.equality_tolerance, found
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("sampled before the size was checked")
 
 
 def _dense_check_inputs(monkeypatch):
-    """Record the points of every ``verify_on_points`` call the verifier makes, in order."""
+    """Record the points and the pairs of every verdict loop the verifier runs, in order."""
     seen = []
+    verdicts = ordering._verdicts
 
-    def recording(points, *args, **kwargs):
-        seen.append(np.array(points))
-        return verify_on_points(points, *args, **kwargs)
+    def recording(points, fns, pairs, eps):
+        seen.append((np.array(points), list(pairs)))
+        return verdicts(points, fns, pairs, eps)
 
-    monkeypatch.setattr(ordering, "verify_on_points", recording)
+    monkeypatch.setattr(ordering, "_verdicts", recording)
     return seen
 
 
@@ -76,6 +94,12 @@ class TestCheckPair:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             check_pair([0.5, 0.5], [0.3, 0.3, 0.4], ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM)
+
+    def test_no_components_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"got shape \(2, 0\)$"):
+            check_pair([], [], ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM)
+        with pytest.raises(DimensionError, match=r"got shape \(1, 0\)$"):
+            verify_on_points([], ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM)
 
     def test_tolerance_turns_small_gaps_into_ties(self):
         p, q = [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]  # permuted: all scores tie exactly
@@ -408,6 +432,11 @@ class TestSearchCounterexample:
         with pytest.raises(ValueError):
             search_counterexample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, 3, 0, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_classes_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match=f"^k must be at least 2, got {k}$"):
+            search_counterexample(ScoreFunction.MAX_CONF, ScoreFunction.L2_NORM, k, 100, seed=0)
+
     def test_pool_over_the_byte_bound_rejected(self, monkeypatch):
         monkeypatch.setattr(ordering, "sample_simplex", _no_sampling)
         # budget 10**14 asks for a pool of 14,142,136 points, about 2.1 GB at k=3
@@ -424,7 +453,7 @@ class TestSearchCounterexample:
         search_counterexample(
             ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, k=6, budget=100_000, seed=0
         )
-        (pool,) = seen
+        ((pool, _),) = seen
         assert pool.shape == (447, 6)
         assert pool[:, 0].max() > 0.5
 
@@ -463,7 +492,7 @@ class TestEquivalenceRelation:
             k=k, n_points=200, seed=0, search_budget=budget,
         )
         assert verdict.consistent
-        sample, pool = seen
+        (sample, _), (pool, _) = seen
         assert pool.shape[0] > simplex_grid(k).shape[0]  # random points too
         assert set(map(tuple, pool)).isdisjoint(map(tuple, sample))
 
@@ -472,14 +501,70 @@ class TestEquivalenceRelation:
         fns = (ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM, ScoreFunction.L2_NORM)
         report = verify_equivalence_relation(fns, 3, 20, None, search_budget=10)
         assert all(verdict.consistent for verdict in report.verdicts.values())
-        samples, pools = seen[0::2], seen[1::2]
-        assert len(samples) == len(pools) == 3
-        for sample, pool in zip(samples, pools):
-            assert np.array_equal(sample, samples[0]) and np.array_equal(pool, pools[0])
-        assert set(map(tuple, pools[0])).isdisjoint(map(tuple, samples[0]))
+        (sample, _), (pool, pairs) = seen  # one pool, searched for every pair
+        assert pairs == [(0, 1), (0, 2), (1, 2)]
+        assert set(map(tuple, pool)).isdisjoint(map(tuple, sample))
         seen.clear()
         verify_equivalence_relation(fns[:2], 3, 20, None, search_budget=10)
-        assert not np.array_equal(seen[0], samples[0])  # a new draw per call
+        assert not np.array_equal(seen[0][0], sample)  # a new draw per call
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_each_function_is_scored_once_per_point_set(self, monkeypatch, k):
+        calls = collections.Counter()  # (function, rows scored) -> calls
+        draws = []
+
+        def counting(points, fn):
+            calls[fn, len(points)] += 1
+            return score_batch(points, fn)
+
+        def drawing(*args):
+            draws.append(args)
+            return sample_simplex(*args)
+
+        monkeypatch.setattr(ordering, "score_batch", counting)
+        monkeypatch.setattr(ordering, "sample_simplex", drawing)
+        report = verify_equivalence_relation(ALL_FNS, k=k, n_points=300, seed=0, search_budget=5000)
+        # a budget of 5000 pairs buys a pool of 100 points; only the
+        # quadratics are still consistent after the sample at k=3
+        searched = ALL_FNS if k == 2 else (ScoreFunction.L2_NORM, ScoreFunction.L2_TO_UNIFORM)
+        assert len(draws) == 2
+        assert {key: n for key, n in calls.items() if key[1] != 2} == {
+            **{(fn, 300): 1 for fn in ALL_FNS}, **{(fn, 100): 1 for fn in searched}
+        }
+        witnesses = sum(not verdict.consistent for verdict in report.verdicts.values())
+        assert sum(n for (_, rows), n in calls.items() if rows == 2) == 2 * witnesses  # check_pair's
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fns=st.lists(_SCORERS, min_size=1, max_size=3).flatmap(
+            lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=5)
+        ),
+        k=st.sampled_from([2, 3, 4]),
+        n_points=st.integers(2, 40),
+        seed=st.integers(0, 2**16),
+        eps=st.sampled_from([0.0, 1e-12, 1e-3]),
+        budget=st.sampled_from([0, 1, 40, 300]),
+    )
+    def test_every_verdict_is_the_pair_by_pair_verdict(self, fns, k, n_points, seed, eps, budget):
+        report = verify_equivalence_relation(fns, k, n_points, seed, eps, budget)
+        points = sample_simplex(k, n_points, seed)
+        pool_pairs = max((comb(m, 2) for m in range(2, 30) if comb(m, 2) <= budget), default=0)
+        for i, j in itertools.combinations(range(len(fns)), 2):
+            expected = verify_on_points(points, fns[i], fns[j], eps)
+            if expected.consistent and budget > 0:
+                witness = search_counterexample(fns[i], fns[j], k, budget, _sub_seed(seed, 1), eps)
+                expected = OrderingVerdict(expected.pairs_checked + pool_pairs, eps, witness)
+            assert _fields(report.verdicts[(i, j)]) == _fields(expected)
+
+    def test_memory_of_all_six_stays_within_the_byte_bound(self):
+        n, k = 10**5, 3
+        tracemalloc.start()
+        try:
+            verify_equivalence_relation(ALL_FNS, k=k, n_points=n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k + 14 + len(ALL_FNS)) * 8 * n  # the bound's words per point, the sample's included
 
     def test_oversized_search_pool_rejected_before_sampling(self, monkeypatch):
         monkeypatch.setattr(ordering, "sample_simplex", _no_sampling)
@@ -511,10 +596,10 @@ class TestClassesMatchBfsOracle:
         scorers = [[i] for i in range(len(related))]  # lists: unhashable, as a user's scorer may be
         fns = [scorers[i] for i in positions]
 
-        def judged(points, fn_a, fn_b, eps):
-            return OrderingVerdict(1, eps, None if related[fn_a[0]][fn_b[0]] else _WITNESS)
+        def judged(points, fns, pairs, eps):
+            return {(i, j): OrderingVerdict(1, eps, None if related[fns[i][0]][fns[j][0]] else _WITNESS) for i, j in pairs}
 
-        with mock.patch.object(ordering, "verify_on_points", judged):
+        with mock.patch.object(ordering, "_verdicts", judged):
             report = verify_equivalence_relation(fns, k=2, n_points=2, seed=0)
         adjacent = [[related[a][b] for b in positions] for a in positions]
         expected = [[id(fns[i]) for i in comp] for comp in bfs_components(adjacent)]

@@ -1,6 +1,7 @@
 """Score function values, symmetries, and closed forms."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atckit import (
+    DimensionError,
     MonotoneTransform,
     PredictionSet,
     ScoreFunction,
     score,
     score_batch,
 )
+from atckit import scores as score_module
 from atckit import simplex
 from atckit.simplex import _row_blocks
 
@@ -236,6 +239,30 @@ class TestRowBlocks:
     def test_a_non_callable_is_not_a_score_function(self, fn):
         with pytest.raises(TypeError, match=f"^cannot interpret {fn!r} as a score function$"):
             score_batch(np.full((2, 2), 0.5), fn)
+
+    @pytest.mark.parametrize(
+        "data, shape",
+        [([], (1, 0)), (np.zeros((3, 0)), (3, 0)), (np.zeros((2, 2, 2)), (2, 2, 2))],
+        ids=["empty-list", "no-columns", "3-d"],
+    )
+    @pytest.mark.parametrize("kind", ["registry", "transform", "callable"])
+    def test_only_an_n_by_k_matrix_is_scored(self, monkeypatch, data, shape, kind):
+        def never(probs):
+            raise AssertionError("a kernel ran on a malformed input")
+
+        monkeypatch.setitem(score_module._KERNELS, ScoreFunction.MAX_CONF, never)
+        fn = {
+            "registry": ScoreFunction.MAX_CONF,
+            "transform": MonotoneTransform.affine(ScoreFunction.MAX_CONF, 2.0),
+            "callable": never,
+        }[kind]
+        with pytest.raises(DimensionError, match=rf"^scores need an \(n, k\) matrix with k >= 1, got shape {re.escape(str(shape))}$"):
+            score_batch(data, fn)
+
+    def test_no_rows_give_no_scores(self):
+        fns = (ScoreFunction.JS_TO_UNIFORM, MonotoneTransform.odd_power(ScoreFunction.JS_TO_UNIFORM, 3), lambda p: p[:, 0])
+        for fn in fns:
+            assert score_batch(np.zeros((0, 3)), fn).shape == (0,)
 
     def test_any_other_callable_gets_the_whole_matrix(self):
         shapes = []
