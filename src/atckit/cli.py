@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import _blas  # noqa: F401  (before numpy loads: one BLAS thread)
+from . import _startup  # before numpy loads: one BLAS thread, no collection while importing
 from .errors import AtckitError, InvalidArgumentError, MissingLabelsError
 from .harness import (
     CANONICAL_METHODS,
@@ -46,6 +46,8 @@ from .ordering import verify_equivalence_relation
 from .scores import SCORE_IDS, ScoreFunction
 from .simplex import Convention
 from .synth import GeneratorSpec, Shift, generate, make_shift_pair
+
+_startup.freeze()  # the last import is done
 
 _EXIT_OK = 0
 _EXIT_VERIFY_MISMATCH = 1

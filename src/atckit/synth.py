@@ -60,8 +60,8 @@ class GeneratorSpec:
         check_shape(self.n, self.k)
         if not 0.0 < self.target_accuracy <= 1.0:
             raise InvalidArgumentError("target_accuracy must lie in (0, 1]")
-        if not self.concentration > 0:
-            raise InvalidArgumentError("concentration must be positive")
+        if not 0.0 < self.concentration < np.inf:
+            raise InvalidArgumentError(f"concentration must be finite and positive, got {self.concentration}")
         check_seed(self.seed)
         if not isinstance(self.shift, Shift):
             raise InvalidArgumentError(f"shift must be a Shift, got {self.shift!r}")

@@ -109,6 +109,9 @@ MUTANTS = {
     "forced-argmax-loses-its-margin": ("synth.py", "= 0.5 + eps", "= 0.5 - eps"),
     "fork-on-one-cpu": ("harness.py", "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 1"),
     "input-error-exit-code": ("cli.py", "_EXIT_INPUT_ERROR = 2", "_EXIT_INPUT_ERROR = 3"),
+    # the start-up of a fresh CLI process
+    "library-caller-frozen": ("_startup.py", "_held = _fresh and gc.isenabled()", "_held = gc.isenabled()"),
+    "collector-left-off": ("_startup.py", "        gc.enable()\n", "        pass\n"),
 }
 
 

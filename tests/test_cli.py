@@ -553,6 +553,18 @@ class TestGenerate:
     def test_invalid_spec_is_input_error(self, tmp_path):
         assert main(["generate", "--k", "1", "--n", "5", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--k", "3", "--n", "50", "--out", "{out}"],
+         ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2", "--out-dir", "{out}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_infinite_concentration_named(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([arg.format(out=out) for arg in argv] + ["--concentration", "inf"]) == 2
+        assert capsys.readouterr() == ("", "error: concentration must be finite and positive, got inf\n")
+        assert not out.exists()
+
     def test_identical_flags_write_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

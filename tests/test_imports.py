@@ -1,4 +1,5 @@
-"""What importing atckit loads: a lazy namespace, and one BLAS thread for the CLI.
+"""What importing atckit loads: a lazy namespace, and for the CLI one BLAS
+thread and a frozen import heap.
 
 Every check runs in a fresh interpreter, because pytest has already
 imported numpy and every atckit module.
@@ -164,3 +165,48 @@ def test_numpy_loaded_first_leaves_the_environment_alone():
         "print(json.dumps(dict(os.environ) == before))\n"
     )
     assert _fresh(script) is True
+
+
+# ------------------------------------------------- no collection of the imports
+
+_COLLECTOR = """
+import gc, json, runpy, sys
+prelude, entry = sys.argv[1:]
+exec(prelude)
+passes = []
+def seen(phase, info):
+    if phase == "start" and "numpy" in sys.modules:
+        passes.append(info["generation"])
+gc.callbacks.append(seen)
+found = [gc.isenabled(), gc.get_threshold()]
+exec(entry)
+gc.callbacks.remove(seen)
+print(json.dumps({
+    "found": found, "left": [gc.isenabled(), gc.get_threshold()],
+    "frozen": gc.get_freeze_count(), "passes": passes,
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "entry",
+    # the console script imports atckit.cli; python -m runs its code through runpy
+    ["import atckit.cli", "runpy.run_module('atckit.cli')"],
+)
+def test_cli_import_runs_no_collection_and_freezes_its_heap(entry):
+    report = _fresh(_COLLECTOR, "", entry)
+    assert report["passes"] == []  # none from numpy's import on
+    assert report["frozen"] > 0
+    assert report["left"] == report["found"] and report["found"][0] is True
+
+
+def test_numpy_loaded_first_leaves_the_collector_alone():
+    report = _fresh(_COLLECTOR, "import numpy", "import atckit.cli")
+    assert report["frozen"] == 0
+    assert report["left"] == report["found"] and report["found"][0] is True
+
+
+def test_callers_disabled_collector_stays_disabled():
+    report = _fresh(_COLLECTOR, "gc.disable()", "import atckit.cli")
+    assert (report["left"], report["frozen"], report["passes"]) == (report["found"], 0, [])
+    assert report["found"][0] is False

@@ -37,6 +37,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Shift(temperature=0.0)
 
+    @pytest.mark.parametrize("concentration", [float("inf"), float("nan"), -1.0])
+    def test_concentration_must_be_finite_and_positive(self, concentration):
+        message = f"^concentration must be finite and positive, got {concentration}$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            GeneratorSpec(k=3, n=10, target_accuracy=0.8, concentration=concentration)
+
+    @pytest.mark.parametrize("concentration", [1e308, 1e-320])
+    def test_finite_extreme_concentrations_generate(self, concentration):
+        data = generate(GeneratorSpec(k=3, n=50, target_accuracy=0.8, concentration=concentration, seed=1))
+        validate_matrix(data.probs)
+
     def test_shift_defaults_to_no_shift_and_must_be_a_shift(self):
         assert GeneratorSpec(k=3, n=10, target_accuracy=0.8).shift == Shift()
         with pytest.raises(InvalidArgumentError, match="shift must be a Shift, got None"):
