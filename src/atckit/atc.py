@@ -95,14 +95,25 @@ def _rank(source_scores, target_scores):
 def _pick(candidates, ranks, below, idx, gamma: float) -> tuple[float, float, int]:
     """The rule's pick step on source rows ``idx``: ``(threshold, proportion,
     below)``, where ``below`` is the target count strictly below the threshold.
-    Only the scores of ``idx`` and the sentinel are candidates."""
+    Only the scores of ``idx`` and the sentinel are candidates.
+
+    The kept candidates' proportions strictly increase from 0, and the
+    sentinel's 1.0 lies past the last, so ``|gamma - p|`` falls up to gamma
+    and rises after it: its first minimum is one of gamma's two
+    neighbours, the last proportion below gamma or the first at or above
+    it. Two distinct counts differ by at least 1/N, so no third candidate
+    ties them, and the left neighbour, the smaller threshold, wins a tie.
+    """
     counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
     total = np.cumsum(counts)
     kept = np.flatnonzero(counts)
-    proportions = np.append((total[kept] - counts[kept]) / total[-1], 1.0)
-    best = int(np.argmin(np.abs(gamma - proportions)))  # first hit = smallest t
+    proportions = (total[kept] - counts[kept]) / total[-1]
+    best = int(np.searchsorted(proportions, gamma))  # gamma's right neighbour, the sentinel past the end
+    proportion = proportions[best] if best < kept.size else 1.0
+    if best and gamma - proportions[best - 1] <= proportion - gamma:  # the left one is as near
+        best, proportion = best - 1, proportions[best - 1]
     index = kept[best] if best < kept.size else counts.size
-    return float(candidates[index]), float(proportions[best]), int(below[index])
+    return float(candidates[index]), float(proportion), int(below[index])
 
 
 def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdModel:

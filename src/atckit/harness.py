@@ -10,7 +10,9 @@ whose insertion order (dimensions ascending, then methods in
 :data:`CANONICAL_METHODS` order) is the output order. Aggregation
 reports the mean absolute error with a percentile confidence interval,
 plus tie-aware win counts and a pairwise mean-difference report over the
-run-level error distributions.
+run-level error distributions. The interval endpoints are numpy's
+``"linear"`` quantiles bit for bit, taken from one sort without
+``np.quantile`` (:func:`summarize`).
 
 Run i's seed is ``simplex.derive_seed(master seed, dimension, i)``, a
 stable hash, never drawn from a shared stream, so runs may execute in any
@@ -29,6 +31,7 @@ share it: at k = 2 one computation serves all six.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import pickle
 from dataclasses import dataclass
@@ -250,7 +253,8 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
         except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
             raise InvalidArgumentError(f"{calibration_sets} calibration sets do not fit in memory") from None
     correct = source.predicted == source.labels
-    if ScoreFunction.MAX_CONF in source.scores:
+    reads_conf = any(m not in SCORE_IDS for m in methods)  # DoC or doc-reg
+    if reads_conf:
         source_max = source.scores[ScoreFunction.MAX_CONF]
         target_conf = float(np.mean(target.scores[ScoreFunction.MAX_CONF]))
 
@@ -274,18 +278,22 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
         for ranked, members in groups:
             below = _pick(*ranked, idx, error)[2]
             atc.update(dict.fromkeys(members, MetricValue(below / len(target), Convention.ERROR)))
+        if reads_conf:  # the resample's confidences, read once for both DoC methods
+            conf = source_max[idx]
+            source_conf = float(np.mean(conf))
         values = {}
         for method in methods:
             if method in atc:
                 values[method] = atc[method]
                 continue
-            conf = source_max[idx]
+            calibration = None
             if method == "doc-reg":
                 blocks = _resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)
                 for rows, j in zip(_row_blocks(calibration_sets, len(source)), blocks):
-                    pairs[rows] = np.column_stack((conf[j].mean(axis=1), hits[j].mean(axis=1)))
-            calibration = pairs if method == "doc-reg" else None
-            values[method] = doc_accuracy(accuracy, float(np.mean(conf)), target_conf, calibration)
+                    pairs[rows, 0] = conf[j].mean(axis=1)
+                    pairs[rows, 1] = hits[j].mean(axis=1)
+                calibration = pairs
+            values[method] = doc_accuracy(accuracy, source_conf, target_conf, calibration)
         return values
 
     return estimate
@@ -343,12 +351,41 @@ def run_benchmark_suite(pairs, config: BenchmarkConfig) -> dict:
 def summarize(values, ci_level: float = 0.95) -> tuple[float, float, float]:
     """``(mean, lo, hi)``: the mean and percentile interval of ``values``.
 
-    Interval endpoints are the (1-ci)/2 and 1-(1-ci)/2 empirical
-    quantiles with linear interpolation between order statistics.
+    The endpoints are the α = (1 - ci)/2 and 1 - α empirical quantiles,
+    by numpy's default ``"linear"`` rule and equal to ``np.quantile(values,
+    [α, 1 - α])`` bit for bit: one sort, then per quantile ``q`` the
+    position ``at = (n - 1) q``, its floor ``i`` and fraction ``t``, and
+    with ``d = b - a`` between the order statistics ``a = x[i]`` and
+    ``b = x[i + 1]`` the value ``a + d t`` when ``t < 0.5``, else
+    ``b - d (1 - t)``. At ``at = n - 1`` both ends are the last value, and
+    a NaN anywhere gives NaN endpoints, as numpy has it. ``np.quantile``
+    itself is not called: it imports ``numpy.ma``, about 10 ms that
+    nothing else here needs.
     """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise EmptyInputError("cannot summarize zero values")
+    if not 0.0 <= ci_level <= 1.0:
+        raise InvalidArgumentError(f"ci_level must lie between 0 and 1, got {ci_level}")
     alpha = (1.0 - ci_level) / 2.0
-    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
-    return float(np.mean(values)), float(lo), float(hi)
+    mean = float(np.mean(values))
+    ordered = np.sort(values, axis=None)
+    if np.isnan(ordered[-1]):  # NaNs sort last
+        return mean, float(ordered[-1]), float(ordered[-1])
+    return mean, _linear_quantile(ordered, alpha), _linear_quantile(ordered, 1.0 - alpha)
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """Quantile ``q`` of the sorted vector ``ordered`` by the rule :func:`summarize` states."""
+    n = ordered.size
+    at = (n - 1) * q
+    i = math.floor(at)
+    t = at - i
+    a = b = float(ordered[-1])  # at = n - 1: no order statistic past the last
+    if at < n - 1:
+        a, b = float(ordered[i]), float(ordered[i + 1])
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 def aggregate(table, ci_level: float = 0.95) -> list[AggregateRow]:

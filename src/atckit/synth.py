@@ -110,13 +110,13 @@ def generate(spec: GeneratorSpec) -> PredictionSet:
     designated = np.where(correct, labels, (labels + offsets) % k)
 
     probs = _dirichlet_rows(spec, designated, rng)
+    bad = np.flatnonzero(np.argmax(probs, axis=1) != designated)
     for _ in range(_MAX_REDRAWS):
-        bad = np.flatnonzero(np.argmax(probs, axis=1) != designated)
         if bad.size == 0:
             break
         probs[bad] = _dirichlet_rows(spec, designated[bad], rng)
+        bad = bad[np.argmax(probs[bad], axis=1) != designated[bad]]  # only redrawn rows can change
     else:
-        bad = np.flatnonzero(np.argmax(probs, axis=1) != designated)
         probs[bad] = _force_argmax(probs[bad], designated[bad])
 
     # a statement of its own: the unshifted matrix is freed before validation
@@ -128,7 +128,7 @@ def _dirichlet_rows(spec: GeneratorSpec, designated: np.ndarray, rng: np.random.
     """One Dirichlet row per designated class: ``concentration`` there, 1 elsewhere."""
     rows = np.ones((len(designated), spec.k))
     rows[np.arange(len(designated)), designated] = spec.concentration
-    rows = rng.gamma(rows)
+    rows = rng.standard_gamma(rows)  # gamma(shape) draws the same, times a scale of 1.0
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 

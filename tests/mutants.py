@@ -42,12 +42,10 @@ MUTANTS = {
     # the threshold rule
     "target-count-not-strict": ("atc.py", 'candidates, side="left")', 'candidates, side="right")'),
     "estimate-target-not-strict": ("atc.py", "scores < model.threshold", "scores <= model.threshold"),
-    "ties-to-largest-threshold": (
-        "atc.py",
-        "best = int(np.argmin(np.abs(gamma - proportions)))",
-        "best = proportions.size - 1 - int(np.argmin(np.abs(gamma - proportions)[::-1]))",
+    "pick-tie-to-the-right": (
+        "atc.py", "gamma - proportions[best - 1] <= proportion - gamma", "gamma - proportions[best - 1] < proportion - gamma",
     ),
-    "sentinel-proportion-0": ("atc.py", "/ total[-1], 1.0)", "/ total[-1], 0.0)"),
+    "sentinel-proportion-0": ("atc.py", "if best < kept.size else 1.0", "if best < kept.size else 0.0"),
     "resample-bincount-no-minlength": (
         "atc.py", "np.bincount(ranks[idx], minlength=candidates.size - 1)", "np.bincount(ranks[idx])",
     ),
@@ -66,6 +64,9 @@ MUTANTS = {
         "_resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)",
         "_resample_blocks(len(source), _sub_seed(seed, 2), calibration_sets)",
     ),
+    # the percentile interval, taken without np.quantile
+    "lerp-half-way-lower-form": ("harness.py", "if t < 0.5 else", "if t <= 0.5 else"),
+    "quantile-no-last-value-clamp": ("harness.py", "    if at < n - 1:\n", "    if True:\n"),
     "rank-without-rounding": ("harness.py", "round(r.mean_abs_error, RANK_DECIMALS)", "r.mean_abs_error"),
     "row-sum-unsorted": ("scores.py", "    terms.sort(axis=1)\n", "    None\n"),
     "js-branch-bounds": ("scores.py", "(0.5 < out) & (out < 2.0)", "(0.25 < out) & (out < 2.0)"),

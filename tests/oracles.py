@@ -2,7 +2,8 @@
 
 Deliberately written in the most literal way possible (plain loops,
 math module, no shared code with the package) so they stay independent
-of the implementation paths they check.
+of the implementation paths they check. ``argmin_pick`` keeps the
+vectorised full scan that the package's pick step replaced.
 """
 
 import math
@@ -32,6 +33,22 @@ def naive_learn_threshold(scores, gamma_error):
         if best_diff is None or diff < best_diff:
             best_t, best_prop, best_diff = t, prop, diff
     return best_t, best_prop
+
+
+def argmin_pick(candidates, ranks, below, idx, gamma):
+    """ATC's pick step as a scan of every kept candidate, the sentinel appended.
+
+    The first minimum of ``|gamma - proportion|`` over all of them wins, so
+    ties go to the smallest threshold. Takes and returns what
+    ``atckit.atc._pick`` does: ``(threshold, proportion, below)``.
+    """
+    counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
+    total = np.cumsum(counts)
+    kept = np.flatnonzero(counts)
+    proportions = np.append((total[kept] - counts[kept]) / total[-1], 1.0)
+    best = int(np.argmin(np.abs(gamma - proportions)))
+    index = kept[best] if best < kept.size else counts.size
+    return float(candidates[index]), float(proportions[best]), int(below[index])
 
 
 def quantile_sorted_index(values, q):

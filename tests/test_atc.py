@@ -23,9 +23,10 @@ from atckit import (
     score_batch,
     true_accuracy,
 )
+from atckit.atc import _pick, _rank
 from atckit.simplex import Convention
 
-from oracles import naive_learn_threshold
+from oracles import argmin_pick, naive_learn_threshold
 from test_harness import _tied_pair
 
 
@@ -96,6 +97,44 @@ class TestLearnThreshold:
         model = learn_threshold(scores, gamma)
         assert model.threshold == expected_t
         assert model.achieved_source_proportion == expected_prop
+
+
+@st.composite
+def _pick_case(draw):
+    """A rank step over tied integer scores, a resample of the source rows and
+    a gamma at 0, 1, on a resample proportion, half way between two, or anywhere."""
+    source = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=30)), dtype=float)
+    target = np.array(draw(st.lists(st.integers(-1, 6), min_size=1, max_size=30)), dtype=float)
+    idx = np.array(draw(st.lists(st.integers(0, source.size - 1), min_size=1, max_size=40)))
+    m = idx.size
+    gamma = draw(st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, m).map(lambda c: c / m),
+        st.integers(0, 2 * m).map(lambda c: c / (2 * m)),
+        st.floats(min_value=0.0, max_value=1.0),
+    ))
+    return _rank(source, target), idx, gamma
+
+
+class TestPick:
+    @given(_pick_case())
+    @settings(max_examples=400, deadline=None)
+    def test_neighbour_pick_equals_the_full_scan(self, case):
+        ranked, idx, gamma = case
+        assert _pick(*ranked, idx, gamma) == argmin_pick(*ranked, idx, gamma)
+
+    @pytest.mark.parametrize("gamma, expected", [
+        (0.25, (1.0, 0.0, 1)),  # |0.25 - 0| = |0.5 - 0.25|: the smaller threshold
+        (0.75, (2.0, 0.5, 2)),  # |0.75 - 0.5| = |1 - 0.75|: not the sentinel
+    ])
+    def test_a_tie_goes_to_the_left_neighbour(self, gamma, expected):
+        ranked = _rank(np.array([1.0, 2.0]), np.array([0.0, 1.5, 3.0]))
+        assert _pick(*ranked, slice(None), gamma) == expected
+
+    @pytest.mark.parametrize("gamma, expected", [(0.0, (4.0, 0.0, 1)), (0.4, (4.0, 0.0, 1)), (0.6, (np.inf, 1.0, 2))])
+    def test_one_kept_candidate_and_the_sentinel(self, gamma, expected):
+        ranked = _rank(np.array([1.0, 4.0, 9.0]), np.array([2.0, 5.0]))
+        assert _pick(*ranked, np.array([1, 1, 1]), gamma) == expected
 
 
 class TestEstimateTarget:

@@ -37,7 +37,7 @@ from atckit import (
     write_dump,
 )
 from atckit.cli import main
-from atckit.harness import CANONICAL_METHODS, bootstrap_estimates, derive_seed, score_once
+from atckit.harness import CANONICAL_METHODS, bootstrap_estimates, derive_seed, score_once, summarize
 
 from oracles import naive_mean, quantile_sorted_index
 from per_set_reference import estimate_metric
@@ -412,12 +412,56 @@ class TestAggregate:
         with pytest.raises(EmptyInputError):
             aggregate({})
 
+    def test_entry_without_runs_rejected(self):
+        with pytest.raises(EmptyInputError):
+            aggregate({(3, "max"): np.zeros(2), (3, "doc"): np.array([])})
+
     def test_rows_follow_table_order(self):
         table = {(3, "max"): np.zeros(2), (3, "doc"): np.ones(2), (5, "max"): np.full(2, 0.5)}
         rows = aggregate(table)
         assert [(r.dimension, r.method, r.mean_abs_error) for r in rows] == [
             (3, "max", 0.0), (3, "doc", 1.0), (5, "max", 0.5)
         ]
+
+
+# finite, no -0.0 (it sorts level with 0.0, so numpy's partition may order the two otherwise)
+_FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda x: x + 0.0)
+_CI_LEVELS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1e-12, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12, 1.0]),  # ends, integer and half positions
+)
+
+
+class TestSummarize:
+    @given(
+        values=st.lists(st.one_of(_FLOATS, st.sampled_from([0.0, 0.1, 0.25, 0.7, 3.0])), min_size=1, max_size=200),
+        ci_level=_CI_LEVELS,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_endpoints_are_numpys_linear_quantiles_bit_for_bit(self, values, ci_level):
+        alpha = (1.0 - ci_level) / 2.0
+        mean, lo, hi = summarize(values, ci_level)
+        assert np.array([lo, hi]).tobytes() == np.quantile(values, [alpha, 1.0 - alpha]).tobytes()
+        assert mean == float(np.mean(values))
+
+    def test_half_way_takes_the_upper_form(self):
+        # t = 0.5 exactly: b - d(1 - t) is 0.39999999999999997, a + d t would be 0.4
+        assert summarize([0.7, 0.1], ci_level=0.0) == (0.39999999999999997, 0.39999999999999997, 0.39999999999999997)
+
+    @given(values=st.lists(_FLOATS, min_size=0, max_size=20), at=st.integers(0, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_nan_in_gives_nan_out(self, values, at):
+        values.insert(min(at, len(values)), float("nan"))
+        assert all(np.isnan(summarize(values)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInputError):
+            summarize([])
+
+    @pytest.mark.parametrize("ci_level", [-0.1, 1.5, float("nan")])
+    def test_ci_level_outside_the_unit_interval_rejected(self, ci_level):
+        with pytest.raises(InvalidArgumentError):
+            summarize([0.1, 0.2], ci_level)
 
 
 class TestRanking:

@@ -1,5 +1,5 @@
 """What importing atckit loads: a lazy namespace, and for the CLI one BLAS
-thread and a frozen import heap.
+thread, a frozen import heap and no ``numpy.ma``.
 
 Every check runs in a fresh interpreter, because pytest has already
 imported numpy and every atckit module.
@@ -210,3 +210,25 @@ def test_callers_disabled_collector_stays_disabled():
     report = _fresh(_COLLECTOR, "gc.disable()", "import atckit.cli")
     assert (report["left"], report["frozen"], report["passes"]) == (report["found"], 0, [])
     assert report["found"][0] is False
+
+
+# ------------------------------------------------------------ no numpy.ma
+
+_MASKED = """
+import json, sys
+import atckit.cli
+codes = [atckit.cli.main(argv.split("|")) for argv in sys.argv[1:]]
+print(json.dumps({"exit": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_bootstrap_commands_never_load_numpy_ma(tmp_path):
+    # np.quantile would import it; the percentile interval is taken without it
+    source, target = make_shift_pair(GeneratorSpec(
+        k=3, n=150, target_accuracy=0.8, concentration=5.0, shift=Shift(temperature=1.3), seed=0,
+    ))
+    write_dump(source, tmp_path / "src.csv")
+    write_dump(target, tmp_path / "tgt.csv")
+    benchmark = f"benchmark|--synthetic|--k|2|3|--n|100|--boot|4|--pairwise|--out-dir|{tmp_path}"
+    estimate = f"estimate|--source|{tmp_path / 'src.csv'}|--target|{tmp_path / 'tgt.csv'}|--method|doc-reg|--boot|3"
+    assert _fresh(_MASKED, benchmark, estimate) == {"exit": [0, 0], "numpy.ma": False}
