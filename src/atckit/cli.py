@@ -27,9 +27,7 @@ from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
-    _kernels,
     _load_summaries,
-    _score_summaries,
     aggregate,
     bootstrap_estimates,
     derive_seed,
@@ -37,11 +35,12 @@ from .harness import (
     pairwise_difference_report,
     rank_methods,
     run_benchmark_suite,
+    score_once,
     summarize,
     write_aggregate_csv,
     write_runs_csv,
 )
-from .io import load_dump, write_dump
+from .io import write_dump
 from .ordering import verify_equivalence_relation
 from .scores import SCORE_IDS, ScoreFunction
 from .simplex import Convention
@@ -82,14 +81,12 @@ def _cmd_estimate(args) -> int:
         methods = SCORE_IDS if args.score == "all" else (args.score,)
     else:
         methods = (args.method,)
-    source, target = _load_summaries(
-        args.source, args.target, _kernels(methods), renormalize=not args.strict_sums
-    )
+    source, target = _load_summaries(args.source, args.target, methods, renormalize=not args.strict_sums)
     if source.labels is None:
         raise MissingLabelsError(f"{args.source}: estimate needs a labeled source dump")
     convention = Convention(args.convention)
 
-    estimate = _score_summaries(source, target, methods, args.calibration_sets)
+    estimate = score_once(source, target, methods, args.calibration_sets)
     boot = bootstrap_estimates(estimate, source, args.boot, args.seed)
     for method, point in estimate(slice(None), args.seed).items():
         label = f"atc-{method}" if method in SCORE_IDS else method
@@ -134,13 +131,15 @@ def _add_benchmark_parser(subparsers, seeded) -> None:
 def _cmd_benchmark(args) -> int:
     if args.pairwise and len(set(args.methods)) < 2:
         raise AtckitError("--pairwise needs at least two distinct --methods to compare")
+    # checked before any pair is read or made
+    config = BenchmarkConfig(tuple(args.methods), n_boot=args.boot, ci_level=args.ci, master_seed=args.seed)
     if args.synthetic:
         specs = (_generator_spec(args, k, derive_seed("gen", args.seed, k)) for k in args.k)
         pairs = [make_shift_pair(spec) for spec in specs]
     elif args.pair:
         pairs = []
         for src_path, tgt_path in args.pair:
-            source, target = load_dump(src_path), load_dump(tgt_path)
+            source, target = _load_summaries(src_path, tgt_path, config.methods)
             if source.labels is None or target.labels is None:
                 raise MissingLabelsError(
                     f"benchmark pairs need labels on both sides ({src_path}, {tgt_path})"
@@ -149,12 +148,6 @@ def _cmd_benchmark(args) -> int:
     else:
         raise AtckitError("benchmark needs --pair dumps or --synthetic")
 
-    config = BenchmarkConfig(
-        methods=tuple(args.methods),
-        n_boot=args.boot,
-        ci_level=args.ci,
-        master_seed=args.seed,
-    )
     errors = run_benchmark_suite(pairs, config)
     rows = aggregate(errors, ci_level=config.ci_level)
 

@@ -19,6 +19,10 @@ stable hash, never drawn from a shared stream, so runs may execute in any
 order or in parallel and still reproduce bit-identically; ``doc-reg``
 calibrates from the run seed's sub-stream 1 (``simplex._sub_seed``).
 
+The engine (:func:`score_once`) takes prediction sets or the per-row
+summaries that the CLI's one dump reader, ``_load_summaries``, builds:
+``estimate`` and ``benchmark --pair`` keep no matrix past its read.
+
 A run never rescores or sorts. Each set is scored once per score
 function, and ATC's rank step (``atc._rank``) runs once per kernel. A run
 then applies only the pick step (``atc._pick``) to its resample, the
@@ -40,7 +44,7 @@ import numpy as np
 
 from .atc import _pick, _rank
 from .doc import check_calibration, doc_accuracy
-from .errors import EmptyInputError, InvalidArgumentError
+from .errors import DimensionError, EmptyInputError, InvalidArgumentError
 from .io import load_dump
 from .scores import SCORE_IDS, ScoreFunction, score_batch
 from .simplex import (
@@ -125,16 +129,16 @@ def bootstrap_resample(data: PredictionSet, seed) -> PredictionSet:
 
 @dataclass(frozen=True)
 class _Summary:
-    """All the engine reads of a prediction set: per row, the true label
-    (None for an unlabeled set), the argmax and one score per kernel."""
+    """What the engine reads of a prediction set, by the set's names: per row
+    the true label (None when unlabeled), the argmax and one score per kernel."""
 
     k: int
     labels: np.ndarray | None
-    predicted: np.ndarray
+    predicted_labels: np.ndarray
     scores: dict  # {ScoreFunction: float64 vector}
 
     def __len__(self) -> int:
-        return self.predicted.size
+        return self.predicted_labels.size
 
 
 def _kernels(methods) -> tuple:
@@ -143,7 +147,10 @@ def _kernels(methods) -> tuple:
     return tuple(dict.fromkeys(ScoreFunction(m if m in SCORE_IDS else "max") for m in methods))
 
 
-def _summarize(data: PredictionSet, kernels) -> _Summary:
+def _summarize(data, kernels) -> _Summary:
+    """The summary of a set, which holds ``kernels``; a summary comes back as it is."""
+    if isinstance(data, _Summary):
+        return data
     return _Summary(data.k, data.labels, data.predicted_labels, {fn: score_batch(data, fn) for fn in kernels})
 
 
@@ -159,28 +166,28 @@ def _fork_pays(path) -> bool:
         return False
 
 
-def _load_summaries(source_path, target_path, kernels, renormalize: bool = True):
-    """The :func:`_summarize` of ``load_dump`` of each dump, source first.
+def _load_summaries(source_path, target_path, methods, renormalize: bool = True):
+    """The :func:`_summarize` of ``load_dump`` of each dump for ``methods``, source first.
 
     When :func:`_fork_pays` for the source, a forked worker builds its
     summary while this process builds the target's, and only the summary,
     or the error the worker met, comes back through a pipe. Either way
     the results and errors are those of loading the source and then the
     target: a source error is raised before a target error, and the
-    worker is reaped before this returns or raises.
+    worker is reaped before this returns or raises. Two summaries whose
+    class counts differ raise ``DimensionError`` naming both paths.
     """
     def summary(path):
-        return _summarize(load_dump(path, renormalize), kernels)
+        return _summarize(load_dump(path, renormalize), _kernels(methods))
 
-    if not _fork_pays(source_path):
-        return summary(source_path), summary(target_path)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: read the dumps in turn
-        os.close(read_fd)
-        os.close(write_fd)
-        return summary(source_path), summary(target_path)
+    pid = None
+    if _fork_pays(source_path):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: read the dumps in turn
+            os.close(read_fd)
+            os.close(write_fd)
     if pid == 0:  # the worker: send the source's summary or its error, then exit at once
         status = 1
         try:
@@ -194,13 +201,19 @@ def _load_summaries(source_path, target_path, kernels, renormalize: bool = True)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    try:
-        target = summary(target_path)
-    except BaseException:
-        _join(pid, read_fd, source_path)  # raises a source error, which comes first
-        raise
-    return _join(pid, read_fd, source_path), target
+    if pid is None:
+        source, target = summary(source_path), summary(target_path)
+    else:
+        os.close(write_fd)
+        try:
+            target = summary(target_path)
+        except BaseException:
+            _join(pid, read_fd, source_path)  # raises a source error, which comes first
+            raise
+        source = _join(pid, read_fd, source_path)
+    if source.k != target.k:
+        raise DimensionError(f"{source_path} has k={source.k} classes but {target_path} has k={target.k}")
+    return source, target
 
 
 def _join(pid: int, read_fd: int, path):
@@ -216,14 +229,10 @@ def _join(pid: int, read_fd: int, path):
     return outcome
 
 
-def score_once(
-    source: PredictionSet,
-    target: PredictionSet,
-    methods,
-    calibration_sets: int = DOC_REG_CALIBRATION_SETS,
-):
+def score_once(source, target, methods, calibration_sets: int = DOC_REG_CALIBRATION_SETS):
     """Score both sets once per distinct score function, then check the inputs.
 
+    Either set may be a summary (:func:`_load_summaries`), used as it is.
     Returns ``estimate(idx, seed) -> {method: MetricValue}``: each
     method's target estimate with ``source.subset(idx)`` as the source
     (``idx = slice(None)`` is the whole set), equal bit for bit to
@@ -234,11 +243,7 @@ def score_once(
     ``scores[idx]`` and no subset is built.
     """
     kernels = _kernels(methods)
-    return _score_summaries(_summarize(source, kernels), _summarize(target, kernels), methods, calibration_sets)
-
-
-def _score_summaries(source: _Summary, target: _Summary, methods, calibration_sets: int):
-    """:func:`score_once` on the sets' summaries, which hold ``_kernels(methods)``."""
+    source, target = _summarize(source, kernels), _summarize(target, kernels)
     for method in methods:  # the errors raised before any estimate is made
         if method not in CANONICAL_METHODS:
             raise InvalidArgumentError(f"unknown method {method!r}")
@@ -252,7 +257,7 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
             pairs = np.empty((calibration_sets, 2))
         except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
             raise InvalidArgumentError(f"{calibration_sets} calibration sets do not fit in memory") from None
-    correct = source.predicted == source.labels
+    correct = source.predicted_labels == source.labels
     reads_conf = any(m not in SCORE_IDS for m in methods)  # DoC or doc-reg
     if reads_conf:
         source_max = source.scores[ScoreFunction.MAX_CONF]
@@ -299,15 +304,14 @@ def _score_summaries(source: _Summary, target: _Summary, methods, calibration_se
     return estimate
 
 
-def bootstrap_estimates(estimate, source: PredictionSet, n_boot: int, master_seed) -> dict:
+def bootstrap_estimates(estimate, source, n_boot: int, master_seed) -> dict:
     """``{method: [MetricValue per run]}``: ``estimate`` on ``n_boot`` resamples of ``source``.
 
     ``estimate`` comes from :func:`score_once`. Run ``i`` passes it the
     seed ``derive_seed(master_seed, source.k, i)`` and the index vector
     drawn from that seed, so methods are compared on identical resamples
-    and order-equivalent scores give equal per-run estimates. Only
-    ``source.k`` and ``len(source)`` are read, so the CLI passes the
-    source's summary in place of the set.
+    and order-equivalent scores give equal per-run estimates. ``source``
+    is a set or its summary: only ``source.k`` and ``len(source)`` are read.
     """
     if n_boot < 0:
         raise InvalidArgumentError(f"n_boot must not be negative, got {n_boot}")
@@ -320,10 +324,11 @@ def bootstrap_estimates(estimate, source: PredictionSet, n_boot: int, master_see
     return runs
 
 
-def run_benchmark(source_val: PredictionSet, test: PredictionSet, config: BenchmarkConfig) -> dict:
+def run_benchmark(source_val, test, config: BenchmarkConfig) -> dict:
     """The error table of one validation/test pair: ``{(test.k, method): errors}``.
 
-    Both sets must be labeled: the validation resample provides the
+    Both are sets or summaries, as :func:`score_once` takes them, and
+    both must be labeled: the validation resample provides the
     source metric, the test labels provide the ground truth the
     estimates are scored against.
     """
@@ -337,7 +342,8 @@ def run_benchmark(source_val: PredictionSet, test: PredictionSet, config: Benchm
 
 
 def run_benchmark_suite(pairs, config: BenchmarkConfig) -> dict:
-    """One error table over per-dimension (validation, test) pairs, dimensions ascending."""
+    """One error table over per-dimension (validation, test) pairs of sets or
+    summaries, dimensions ascending."""
     pairs = sorted(pairs, key=lambda pair: pair[1].k)
     for (_, a), (_, b) in zip(pairs, pairs[1:]):
         if a.k == b.k:

@@ -59,6 +59,11 @@ MUTANTS = {
     "load-summaries-drops-renormalize": (
         "harness.py", "load_dump(path, renormalize)", "load_dump(path)",
     ),
+    "mismatch-names-the-target-twice": (
+        "harness.py", 'DimensionError(f"{source_path} has k=', 'DimensionError(f"{target_path} has k=',
+    ),
+    "mismatch-source-k-against-itself": ("harness.py", "if source.k != target.k:", "if source.k != source.k:"),
+    "summary-summarized-again": ("harness.py", "if isinstance(data, _Summary):", "if False:"),
     "doc-reg-seed": (
         "harness.py",
         "_resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)",

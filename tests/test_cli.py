@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import atckit
+import atckit.cli
 from atckit import GeneratorSpec, Shift, generate, load_dump, make_shift_pair, write_dump
 from atckit.cli import main
+from atckit.harness import CANONICAL_METHODS
 
 from test_io import UNREADABLE
 
@@ -263,11 +266,15 @@ class TestEstimateWorker:
 
     @staticmethod
     def _precedence_case(tmp_path, case):
-        """(argv, the stderr that ``estimate`` prints) for one input fault."""
+        """(argv, the stderr it prints) for one input fault, given to ``estimate``, or with a
+        ``pair-`` prefix to ``benchmark --pair``."""
+        command, case = ("benchmark", case[5:]) if case.startswith("pair-") else ("estimate", case)
         good, _ = _write_pair(tmp_path)
         bad_source, bad_target = tmp_path / "bad-source.csv", tmp_path / "bad-target.csv"
         bad_source.write_text("p0,p1,label\n0.9,0.1,0\n0.7,0.7,1\n")
         bad_target.write_text("p0,p1\n0.5,0.5\n0.5,0.5\nx,0.5\n")
+        unlabeled = tmp_path / "unlabeled.csv"
+        write_dump(atckit.PredictionSet(load_dump(good).probs), unlabeled)
         target_error = f"error: {bad_target}: line 4: could not convert string to float: 'x'\n"
         if case == "both-bad":
             paths, err = (bad_source, bad_target), (
@@ -276,22 +283,46 @@ class TestEstimateWorker:
         elif case == "target-bad":
             paths, err = (good, bad_target), target_error
         elif case == "unlabeled-source-bad-target":
-            unlabeled = tmp_path / "unlabeled.csv"
-            write_dump(atckit.PredictionSet(load_dump(good).probs), unlabeled)
             paths, err = (unlabeled, bad_target), target_error
-        else:
+        else:  # a k-mismatch names both files, and beats a missing source label
             (tmp_path / "k3").mkdir()
             other_k, _ = _write_pair(tmp_path / "k3", k=3)
-            paths, err = (good, other_k), "error: source has k=2 classes but target has k=3\n"
-        return ["estimate", "--source", str(paths[0]), "--target", str(paths[1])], err
+            source = unlabeled if case.startswith("unlabeled") else good
+            paths, err = (source, other_k), f"error: {source} has k=2 classes but {other_k} has k=3\n"
+        if command == "estimate":
+            return ["estimate", "--source", str(paths[0]), "--target", str(paths[1])], err
+        return ["benchmark", "--pair", *map(str, paths), "--boot", "2", "--out-dir", str(tmp_path / "out")], err
 
-    _CASES = ["both-bad", "target-bad", "unlabeled-source-bad-target", "k-mismatch"]
+    _FAULTS = ["both-bad", "target-bad", "unlabeled-source-bad-target", "k-mismatch", "unlabeled-source-k-mismatch"]
+    _CASES = [*_FAULTS, *(f"pair-{fault}" for fault in _FAULTS)]
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     @pytest.mark.parametrize("case", _CASES)
     def test_error_precedence(self, tmp_path, monkeypatch, capsys, case, fork):
         argv, err = self._precedence_case(tmp_path, case)
         assert self._run(monkeypatch, capsys, fork, argv) == (2, "", err, int(fork))
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_pairs_are_byte_identical_either_way(self, tmp_path, monkeypatch, capsys):
+        # and equal to the library's suite on the loaded sets
+        pairs, out_dir = [], tmp_path / "out"
+        for k in (3, 2):
+            (tmp_path / f"k{k}").mkdir()
+            pairs += ["--pair", *map(str, _write_pair(tmp_path / f"k{k}", k=k, n=60, seed=k))]
+        argv = ["benchmark", *pairs, "--boot", "20", "--seed", "5", "--methods", *CANONICAL_METHODS,
+                "--pairwise", "--out-dir", str(out_dir)]
+        outputs = {}
+        for fork in (True, False):
+            code, out, err, forks = self._run(monkeypatch, capsys, fork, argv)
+            assert (code, err, forks) == (0, "", 2 if fork else 0)
+            outputs[fork] = [out, *((out_dir / name).read_bytes() for name in ("runs.csv", "aggregate.csv"))]
+        assert outputs[True] == outputs[False]
+        sets = [(load_dump(pairs[i + 1]), load_dump(pairs[i + 2])) for i in (0, 3)]
+        config = atckit.BenchmarkConfig(methods=CANONICAL_METHODS, n_boot=20, master_seed=5)
+        table = atckit.run_benchmark_suite(sets, config)
+        atckit.write_runs_csv(table, tmp_path / "runs.csv")
+        atckit.write_aggregate_csv(atckit.aggregate(table), tmp_path / "aggregate.csv")
+        assert outputs[False][1:] == [(tmp_path / name).read_bytes() for name in ("runs.csv", "aggregate.csv")]
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     def test_unlabeled_source_named(self, tmp_path, monkeypatch, capsys, fork):
@@ -424,6 +455,59 @@ class TestBenchmark:
 
     def test_needs_some_input(self, capsys):
         assert main(["benchmark", "--boot", "5"]) == 2
+
+    def test_class_count_mismatch_named_before_dimensions_are_compared(self, tmp_path, capsys):
+        # the first pair's target has k=2, as the second pair has: its own mismatch is the error
+        (tmp_path / "k3").mkdir()
+        k3, _ = _write_pair(tmp_path / "k3", k=3)
+        k2, _ = _write_pair(tmp_path, k=2)
+        argv = ["benchmark", "--pair", str(k3), str(k2), "--pair", str(k2), str(k2), "--boot", "2",
+                "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {k3} has k=3 classes but {k2} has k=2\n")
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--boot", "0"], "error: n_boot must be at least 1, got 0\n"),
+            (["--ci", "2"], "error: ci_level must lie strictly between 0 and 1, got 2.0\n"),
+            (["--methods", "mystery"], None),  # argparse's own usage error
+        ],
+        ids=["boot", "ci", "methods"],
+    )
+    @pytest.mark.parametrize("source", ["pair", "synthetic"])
+    def test_config_checked_before_any_pair_is_read_or_made(self, tmp_path, monkeypatch, capsys, flags, err, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was read or made before the config was checked")
+
+        monkeypatch.setattr(atckit.harness, "load_dump", refuse)
+        monkeypatch.setattr(atckit.cli, "make_shift_pair", refuse)
+        inputs = {"pair": ["--pair", "nope.csv", "nope.csv"], "synthetic": ["--synthetic", "--k", "3"]}[source]
+        argv = ["benchmark", *inputs, *flags, "--out-dir", str(tmp_path / "o")]
+        if err is None:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "o").exists()
+
+    def test_pairs_are_summarized_one_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # in process, the four 3000-row matrices of a k=200 and a k=300 pair hold 22.9 MiB;
+        # each pair is summarized as it is read, so the run never holds them all
+        argv = ["benchmark", "--boot", "2", "--out-dir", str(tmp_path / "o")]
+        for k in (200, 300):
+            (tmp_path / f"k{k}").mkdir()
+            argv += ["--pair", *map(str, _write_pair(tmp_path / f"k{k}", k=k, n=3000, seed=k))]
+        monkeypatch.setattr(atckit.harness, "_fork_pays", lambda path: False)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 3000 * (200 + 300) * 8
 
     def test_unlabeled_pair_named(self, tmp_path, capsys):
         src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"

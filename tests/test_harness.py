@@ -391,6 +391,28 @@ class TestScoreOnceEngine:
             assert len(scored) == calls, n_boot
 
 
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_summaries_score_as_the_sets(self, monkeypatch, seed):
+        # summaries pass through score_once unscored, and every estimate is the sets' bit for bit
+        from atckit.harness import _kernels, _summarize
+
+        source, target = _small_pair(n=120, seed=seed)
+        summaries = [_summarize(data, _kernels(CANONICAL_METHODS)) for data in (source, target)]
+        from_sets = score_once(source, target, CANONICAL_METHODS)
+        scored = self._count_scoring(monkeypatch)
+        from_summaries = score_once(*summaries, CANONICAL_METHODS)
+        assert scored == []
+        (resample,) = next(atckit.harness._resample_blocks(len(source), seed, 1))
+        for idx in (slice(None), resample):
+            expected = {m: (v.value.hex(), v.convention) for m, v in from_sets(idx, seed).items()}
+            assert list(expected) == list(CANONICAL_METHODS)
+            assert {m: (v.value.hex(), v.convention) for m, v in from_summaries(idx, seed).items()} == expected
+        config = BenchmarkConfig(methods=CANONICAL_METHODS, n_boot=5, master_seed=seed)
+        by_sets, by_summaries = run_benchmark(source, target, config), run_benchmark(*summaries, config)
+        assert list(by_sets) == list(by_summaries)
+        assert all(by_sets[key].tobytes() == by_summaries[key].tobytes() for key in by_sets)
+
+
 class TestAggregate:
     def test_degenerate_distribution(self):
         (row,) = aggregate({(3, "max"): np.full(10, 0.25)})
