@@ -27,7 +27,9 @@ from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
+    _kernels,
     _load_summaries,
+    _summarize,
     aggregate,
     bootstrap_estimates,
     derive_seed,
@@ -129,22 +131,19 @@ def _add_benchmark_parser(subparsers, seeded) -> None:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.synthetic and args.pair:
+        raise AtckitError("benchmark takes --pair dumps or --synthetic, not both")
     if args.pairwise and len(set(args.methods)) < 2:
         raise AtckitError("--pairwise needs at least two distinct --methods to compare")
     # checked before any pair is read or made
     config = BenchmarkConfig(tuple(args.methods), n_boot=args.boot, ci_level=args.ci, master_seed=args.seed)
+    # each pair is read or made when the suite asks for it, and summarized at once
     if args.synthetic:
+        kernels = _kernels(config.methods)
         specs = (_generator_spec(args, k, derive_seed("gen", args.seed, k)) for k in args.k)
-        pairs = [make_shift_pair(spec) for spec in specs]
+        pairs = (tuple(_summarize(data, kernels) for data in make_shift_pair(spec)) for spec in specs)
     elif args.pair:
-        pairs = []
-        for src_path, tgt_path in args.pair:
-            source, target = _load_summaries(src_path, tgt_path, config.methods)
-            if source.labels is None or target.labels is None:
-                raise MissingLabelsError(
-                    f"benchmark pairs need labels on both sides ({src_path}, {tgt_path})"
-                )
-            pairs.append((source, target))
+        pairs = (_labeled_summaries(src_path, tgt_path, config.methods) for src_path, tgt_path in args.pair)
     else:
         raise AtckitError("benchmark needs --pair dumps or --synthetic")
 
@@ -172,6 +171,14 @@ def _cmd_benchmark(args) -> int:
     print()
     print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'aggregate.csv'}")
     return _EXIT_OK
+
+
+def _labeled_summaries(src_path, tgt_path, methods):
+    """The summaries of a ``--pair``, which must be labeled on both sides."""
+    source, target = _load_summaries(src_path, tgt_path, methods)
+    if source.labels is None or target.labels is None:
+        raise MissingLabelsError(f"benchmark pairs need labels on both sides ({src_path}, {tgt_path})")
+    return source, target
 
 
 # ------------------------------------------------------------------ verify

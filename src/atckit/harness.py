@@ -343,14 +343,18 @@ def run_benchmark(source_val, test, config: BenchmarkConfig) -> dict:
 
 def run_benchmark_suite(pairs, config: BenchmarkConfig) -> dict:
     """One error table over per-dimension (validation, test) pairs of sets or
-    summaries, dimensions ascending."""
-    pairs = sorted(pairs, key=lambda pair: pair[1].k)
-    for (_, a), (_, b) in zip(pairs, pairs[1:]):
-        if a.k == b.k:
-            raise InvalidArgumentError(f"two pairs share dimension k={a.k}")
-    table = {}
+    summaries, dimensions ascending. ``pairs`` is read once, in its order,
+    before any run: a pair whose dimension an earlier pair has is an error
+    as soon as it comes, so an iterator that reads or makes each pair on
+    demand stops there."""
+    by_k = {}
     for source_val, test in pairs:
-        table.update(run_benchmark(source_val, test, config))
+        if test.k in by_k:
+            raise InvalidArgumentError(f"two pairs share dimension k={test.k}")
+        by_k[test.k] = (source_val, test)
+    table = {}
+    for k in sorted(by_k):
+        table.update(run_benchmark(*by_k[k], config))
     return table
 
 

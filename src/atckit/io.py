@@ -14,7 +14,11 @@ block whatever the number of rows. The JSON writer gives the bytes of
 
 A CSV goes through numpy's parser first, in one ``np.loadtxt`` call, and
 through the line parser only when it needs diagnosing: on any failure
-the line parser reads the file again and names the offending line. The
+the line parser reads the file again and names the offending line.
+numpy's path reads the file in binary mode and hands numpy its lines as
+bytes, which numpy decodes as UTF-8 faster than a text-mode file yields
+them; the lines are ended where text mode ends them, and the header is
+decoded as ``utf-8-sig`` so that a leading BOM is dropped. The
 line parser defines what a dump may hold. numpy's path accepts a subset
 of that and gives the same bits, so the two accept the same files and
 give the same values. Both convert a label's text with Python's ``int``,
@@ -81,24 +85,21 @@ def _text_tables():
     ``first``, and ``exponent[e]`` holds ``e-`` and the exponent (zero in
     fixed notation, e <= 4). ``first[row, g]`` is word 0 of a cell whose
     digits start with the 3 digits of g, ``digits[g]`` is those 3 digits
-    and ``stripped[g]`` the same without trailing zeros.
+    and ``stripped[g]`` the same without trailing zeros. Each is built
+    with numpy arithmetic on the ASCII codes of the digits.
     """
-
-    def word(text: bytes) -> int:
-        return int.from_bytes(text, "little")
-
-    exponents = range(292)
-    scale = np.array([float(10 ** (11 + e)) for e in exponents])
-    row = np.array([min(e, 5) - 1 for e in exponents])
-    exponent = np.array([0 if e <= 4 else word(b"\0e-%02d" % e) for e in exponents], "<u8")
-    triples = [b"%03d" % g for g in range(1000)]
-    first = np.array(
-        [[word(b"0." + b"0" * z + b"\0" * (3 - z) + t) for t in triples] for z in range(4)]
-        + [[word(t[:1] + b".\0\0\0\0" + t[1:]) for t in triples]],
-        "<u8",
-    )
-    digits = np.array([word(t) for t in triples], "<u8")
-    stripped = np.array([word(t.rstrip(b"0")) for t in triples], "<u8")
+    e = np.arange(292)
+    scale = np.array([float(10 ** (11 + i)) for i in e.tolist()])  # each power exactly rounded
+    row = np.minimum(e, 5) - 1
+    g = np.arange(1000, dtype="<u8")
+    hundreds, tens, ones = g // 100 + ord("0"), g // 10 % 10 + ord("0"), g % 10 + ord("0")
+    digits = hundreds | tens << 8 | ones << 16
+    stripped = np.where(g % 10 != 0, digits, np.where(g % 100 != 0, hundreds | tens << 8, hundreds * (g != 0)))
+    # "%02d" of e: the triple of e without its leading "0" below 100
+    exponent = int.from_bytes(b"\0e-", "little") | np.where(e < 100, digits[e] >> 8, digits[e]) << 24
+    exponent[:5] = 0
+    fixed = [int.from_bytes(b"0." + b"0" * z, "little") | digits << 40 for z in range(4)]
+    first = np.array(fixed + [hundreds | ord(".") << 8 | tens << 48 | ones << 56], "<u8")
     return scale, row, exponent, first, digits, stripped
 
 
@@ -208,14 +209,19 @@ def _load_csv_fast(path, tolerance):
     data line never reaches numpy. Nothing here changes process state.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            k, has_label = _read_header(_rows(csv.reader(fh)))
+        # a 64 KiB buffer, not 8 KiB: a wide dump's line spans a few reads, not many
+        with open(path, "rb", buffering=1 << 16) as fh:
+            lines = _lines(fh)
+            header = next(lines, b"").decode("utf-8-sig")
+            if '"' in header:  # a quoted field may span lines, and csv would read on
+                return None
+            k, has_label = _read_header(_rows(csv.reader([header])))
             columns = [("p", "f8", (k,))] + ([("label", f"U{_LABEL_CHARS}")] if has_label else [])
-            lines = _lines_within(fh, csv.field_size_limit())
-            if (first := next((line for line in lines if line.strip("\r\n")), None)) is None:
+            lines = _lines_within(lines, csv.field_size_limit())
+            if (first := next((line for line in lines if line.strip(b"\r\n")), None)) is None:
                 return None  # no data rows
             lines = itertools.chain([first], lines)
-            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=columns, ndmin=1)
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=columns, ndmin=1, encoding="utf-8")
         texts = table["label"].tolist() if has_label else []
         if texts and max(map(len, texts)) >= _LABEL_CHARS:  # numpy may have cut it
             return None
@@ -225,12 +231,26 @@ def _load_csv_fast(path, tolerance):
         return None
 
 
-def _lines_within(fh, limit):
-    """The file's lines as numpy reads them, one at a time. A line longer
-    than ``limit`` might hold a field over csv's limit, which ``_read_csv``
-    rejects; a NUL might end a label, which numpy drops and ``int`` rejects."""
+def _lines(fh):
+    """The lines of a binary file as text mode with ``newline=""`` ends them:
+    at ``\n``, ``\r\n`` and a lone ``\r``. Binary lines end only at ``\n``,
+    and numpy rejects a line with a line break inside, so a line with a
+    lone ``\r`` is split there."""
     for line in fh:
-        if len(line) > limit or "\0" in line:
+        end = len(line) - 2 if line.endswith(b"\r\n") else len(line)
+        if line.find(b"\r", 0, end) < 0:
+            yield line
+        else:
+            yield from line.splitlines(keepends=True)
+
+
+def _lines_within(lines, limit):
+    """The lines, one at a time, as numpy reads them. A line longer than
+    ``limit`` bytes might hold a field over csv's limit of characters,
+    which ``_read_csv`` rejects; a NUL might end a label, which numpy drops
+    and ``int`` rejects."""
+    for line in lines:
+        if len(line) > limit or b"\0" in line:
             raise ParseError("a line is too long or holds a NUL")
         yield line
 

@@ -11,7 +11,11 @@ so that thresholding behaviour is unchanged while evaluation stays cheap:
 
 Per-component terms are sorted before summation, which makes every score
 exactly invariant under permutation of the components rather than merely
-up to float reassociation. :func:`score_batch` alone turns a ``Scorer``
+up to float reassociation. The sorted terms are then added strictly left
+to right: a block's columns are transposed, a few hundred at a time, and
+reduced over their outer axis, which numpy adds one row at a time (it
+sums pairwise only along the fast axis); a single row, whose only axis is
+the fast one, takes ``cumsum``. :func:`score_batch` alone turns a ``Scorer``
 (a registry id, a :class:`MonotoneTransform` of one, a callable) into scores.
 """
 
@@ -42,16 +46,34 @@ class ScoreFunction(Enum):
 SCORE_IDS = tuple(fn.value for fn in ScoreFunction)
 
 
+#: Columns of a row block that ``_sorted_row_sum`` transposes at a time.
+_SUM_COLUMNS = 256
+
+
 def _sorted_row_sum(terms: np.ndarray) -> np.ndarray:
     # sort per row so the summation order is permutation-independent, then
-    # accumulate strictly left to right: cumsum cannot reassociate, whereas
-    # np.sum's pairwise SIMD reduction groups terms differently depending
-    # on buffer alignment, which would break exact symmetry. Both steps
-    # work in place on the kernel's own temporary, so summing costs no
-    # further (n, k) array.
+    # add strictly left to right, as cumsum would. np.sum's pairwise SIMD
+    # reduction groups terms differently depending on buffer alignment,
+    # which would break exact symmetry; but numpy sums pairwise only along
+    # the fast axis. Reducing a C-ordered (columns, n) array over axis 0
+    # adds one row of it at a time, which is the cumsum order without its
+    # (n, k) partial sums: so the columns go, _SUM_COLUMNS at a time, into
+    # the rows of a small buffer under the running sums. A transposed copy
+    # of the whole block cost a second block-sized allocation, which can
+    # page-fault on every block. Starting from -0.0 is exact for any first
+    # term, where add's identity 0.0 would turn a sum of -0.0 into 0.0.
+    # One row has only a fast axis, so it keeps cumsum.
     terms.sort(axis=1)
-    np.cumsum(terms, axis=1, out=terms)
-    return terms[:, -1].copy()
+    n, k = terms.shape
+    if n == 1:
+        return np.cumsum(terms, axis=1)[:, -1]
+    rows = np.empty((min(k, _SUM_COLUMNS) + 1, n))
+    rows[0] = -0.0
+    for start in range(0, k, _SUM_COLUMNS):
+        stop = min(start + _SUM_COLUMNS, k)
+        rows[1 : stop - start + 1] = terms[:, start:stop].T
+        rows[0] = np.add.reduce(rows[: stop - start + 1], axis=0, initial=-0.0)
+    return rows[0].copy()
 
 
 def _max_conf(probs: np.ndarray) -> np.ndarray:
@@ -73,16 +95,18 @@ def _l2_norm_sq(probs: np.ndarray) -> np.ndarray:
 
 def _l1_to_uniform(probs: np.ndarray) -> np.ndarray:
     u = 1.0 / probs.shape[1]
-    return _sorted_row_sum(np.abs(probs - u))
+    d = probs - u
+    return _sorted_row_sum(np.abs(d, out=d))
 
 
 def _l2_to_uniform_sq(probs: np.ndarray) -> np.ndarray:
     u = 1.0 / probs.shape[1]
     d = probs - u
-    return _sorted_row_sum(d * d)
+    d *= d
+    return _sorted_row_sum(d)
 
 
-def _rel_entr(x, y: np.ndarray) -> np.ndarray:
+def _rel_entr(x, y: np.ndarray, x_positive: bool = False) -> np.ndarray:
     """Elementwise relative entropy x * log(x / y), for x >= 0 and 0 < y < 1.
 
     Keeps the branches of scipy.special.rel_entr: where the ratio x / y
@@ -90,16 +114,22 @@ def _rel_entr(x, y: np.ndarray) -> np.ndarray:
     would dominate it, so x * log1p((x - y) / y) is taken there;
     elsewhere x * log(x / y), and 0 where x = 0. Both branches are
     computed whole and merged with one mask: running each only where it
-    applies (``where=``) made js about twice as slow at k = 1000.
+    applies (``where=``) made js about twice as slow at k = 1000. With
+    ``x_positive`` (every x > 0) no x = 0 needs skipping, and the logs
+    run unmasked.
     """
     out = x / y
     near = (0.5 < out) & (out < 2.0)
     step = x - y
     step /= y
-    # x = 0 gives a ratio of 0 and a step of -1: skip both logs there, so
-    # no -inf is formed and x * 0 leaves the 0 that the entropy takes
-    np.log1p(step, out=step, where=step > -1.0)
-    np.log(out, out=out, where=out > 0.0)
+    if x_positive:
+        np.log1p(step, out=step)
+        np.log(out, out=out)
+    else:
+        # x = 0 gives a ratio of 0 and a step of -1: skip both logs there, so
+        # no -inf is formed and x * 0 leaves the 0 that the entropy takes
+        np.log1p(step, out=step, where=step > -1.0)
+        np.log(out, out=out, where=out > 0.0)
     np.putmask(out, near, step)
     out *= x
     return out
@@ -107,9 +137,10 @@ def _rel_entr(x, y: np.ndarray) -> np.ndarray:
 
 def _js_to_uniform(probs: np.ndarray) -> np.ndarray:
     u = 1.0 / probs.shape[1]
-    mid = 0.5 * (probs + u)
+    mid = probs + u
+    mid *= 0.5
     terms = _rel_entr(probs, mid)
-    terms += _rel_entr(u, mid)
+    terms += _rel_entr(u, mid, x_positive=True)
     terms *= 0.5
     return _sorted_row_sum(terms)
 

@@ -80,6 +80,14 @@ def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
     are clamped to zero (serialization noise); anything below -tolerance
     or a row sum further than ``tolerance`` from one is rejected.
 
+    The row sums are taken first. A non-finite component makes its row's
+    sum non-finite, so the element-wise scan for one runs only when a sum
+    is not finite (a finite row can still overflow). Then one pass finds
+    the least component: the scan for one below -tolerance runs only when
+    it is below that, and the clamp only when it is below 0, after which
+    the rows are summed again. The errors, their order and the bits are
+    those of running every check on every row.
+
     Returns a read-only float64 matrix whose rows sum to 1 within machine
     precision.
     """
@@ -89,15 +97,18 @@ def validate_matrix(raw, tolerance: float = SUM_TOLERANCE) -> np.ndarray:
     n, k = probs.shape
     if k < 2:
         raise DimensionError(f"probability vectors need k >= 2 components, got k={k}")
-    if not np.all(np.isfinite(probs)):
-        bad = int(np.argwhere(~np.all(np.isfinite(probs), axis=1))[0, 0])
-        raise NotOnSimplexError(bad, "non-finite component")
-    if np.any(probs < -tolerance):
-        bad = int(np.argwhere(np.any(probs < -tolerance, axis=1))[0, 0])
-        raise NotOnSimplexError(bad, f"component below -{tolerance:g} ({probs[bad].min():.6g})")
-    probs[probs < 0.0] = 0.0  # in place on the copy above; -0.0 is not below 0 and stays
-    with np.errstate(over="ignore"):  # a sum past the float range is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is rejected below
         sums = probs.sum(axis=1)
+        if not np.isfinite(sums).all() and not np.all(np.isfinite(probs)):
+            bad = int(np.argwhere(~np.all(np.isfinite(probs), axis=1))[0, 0])
+            raise NotOnSimplexError(bad, "non-finite component")
+        least = probs.min(initial=np.inf)
+        if least < -tolerance:
+            bad = int(np.argwhere(np.any(probs < -tolerance, axis=1))[0, 0])
+            raise NotOnSimplexError(bad, f"component below -{tolerance:g} ({probs[bad].min():.6g})")
+        if least < 0.0:
+            probs[probs < 0.0] = 0.0  # in place on the copy above; -0.0 is not below 0 and stays
+            sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > tolerance
     if np.any(off):
         bad = int(np.argwhere(off)[0, 0])
@@ -208,8 +219,12 @@ def _row_blocks(n: int, k: int):
 
 def check_seed(seed) -> None:
     """Reject a seed with a negative entry, which numpy's generators refuse (numpy's seed objects pass)."""
-    numpy_seed = isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator))
-    if not (seed is None or numpy_seed) and np.any(np.asarray(seed) < 0):
+    if type(seed) is int:  # the common case, compared without building an array
+        negative = seed < 0
+    else:
+        numpy_seed = isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator))
+        negative = not (seed is None or numpy_seed) and np.any(np.asarray(seed) < 0)
+    if negative:
         raise InvalidArgumentError(f"seed must not be negative, got {seed}")
 
 

@@ -75,7 +75,14 @@ MUTANTS = {
     "rank-without-rounding": ("harness.py", "round(r.mean_abs_error, RANK_DECIMALS)", "r.mean_abs_error"),
     "row-sum-unsorted": ("scores.py", "    terms.sort(axis=1)\n", "    None\n"),
     "js-branch-bounds": ("scores.py", "(0.5 < out) & (out < 2.0)", "(0.25 < out) & (out < 2.0)"),
+    # a one-row block transposes to (k, 1), whose outer axis numpy sums pairwise
+    "row-sum-one-row-reduced": ("scores.py", "    if n == 1:\n", "    if False:\n"),
     "negative-clamp-to-abs": ("simplex.py", "probs[probs < 0.0] = 0.0", "probs[probs < 0.0] *= -1.0"),
+    # the scans that validate_matrix runs only on demand
+    "non-finite-scan-skipped": (
+        "simplex.py", "if not np.isfinite(sums).all() and not np.all(np.isfinite(probs)):", "if False:",
+    ),
+    "clamp-not-resummed": ("simplex.py", "            sums = probs.sum(axis=1)\n", "            pass\n"),
     "equality-tolerance-strict": ("ordering.py", "np.abs(delta) <= eps", "np.abs(delta) < eps"),
     # the sort-based consistency check
     "prefix-tolerance-not-strict": (
@@ -104,6 +111,7 @@ MUTANTS = {
     # the seed rule
     "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
     "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),
+    "int-seed-allows-minus-one": ("simplex.py", "negative = seed < 0", "negative = seed < -1"),
     # the one resampler and the one monotone transform family
     "resample-skips-row-0": ("simplex.py", "rng.integers(0, n, size=", "rng.integers(1, n, size="),
     "transform-allows-even-exponent": (
@@ -111,6 +119,7 @@ MUTANTS = {
     ),
     # parse, validate, generate, fork and exit codes
     "header-allows-one-class": ("io.py", "if len(prob_cols) < 2 or", "if len(prob_cols) < 1 or"),
+    "lone-cr-left-in-line": ("io.py", 'if line.find(b"\\r", 0, end) < 0:', "if True:"),
     "row-sum-tolerance-strict": ("simplex.py", "np.abs(sums - 1.0) > tolerance", "np.abs(sums - 1.0) >= tolerance"),
     "forced-argmax-loses-its-margin": ("synth.py", "= 0.5 + eps", "= 0.5 - eps"),
     "fork-on-one-cpu": ("harness.py", "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 1"),

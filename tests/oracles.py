@@ -218,3 +218,45 @@ def csv_dump_text(probs, labels):
             fields.append(str(int(labels[i])))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def csv_text_tables():
+    """The CSV writer's six word tables, each entry built from its text with ``int.from_bytes``."""
+
+    def word(text: bytes) -> int:
+        return int.from_bytes(text, "little")
+
+    exponents = range(292)
+    scale = np.array([float(10 ** (11 + e)) for e in exponents])
+    row = np.array([min(e, 5) - 1 for e in exponents])
+    exponent = np.array([0 if e <= 4 else word(b"\0e-%02d" % e) for e in exponents], "<u8")
+    triples = [b"%03d" % g for g in range(1000)]
+    first = np.array(
+        [[word(b"0." + b"0" * z + b"\0" * (3 - z) + t) for t in triples] for z in range(4)]
+        + [[word(t[:1] + b".\0\0\0\0" + t[1:]) for t in triples]],
+        "<u8",
+    )
+    digits = np.array([word(t) for t in triples], "<u8")
+    stripped = np.array([word(t.rstrip(b"0")) for t in triples], "<u8")
+    return scale, row, exponent, first, digits, stripped
+
+
+def validate_matrix_reference(raw, tolerance):
+    """Simplex validation of an (n, k >= 2) matrix with every check run over every component, in order:
+    non-finite, below -tolerance, clamp, row sums, renormalize. Returns the
+    renormalized matrix, or the first fault as (row, detail) of a NotOnSimplexError.
+    The row sums are numpy's, as the package's are: only their checks differ."""
+    probs = np.array(raw, dtype=np.float64, ndmin=2)
+    for i, row in enumerate(probs):
+        if not all(math.isfinite(x) for x in row):
+            return i, "non-finite component"
+    for i, row in enumerate(probs):
+        if any(x < -tolerance for x in row):
+            return i, f"component below -{tolerance:g} ({row.min():.6g})"
+    probs[probs < 0.0] = 0.0
+    with np.errstate(over="ignore"):
+        sums = probs.sum(axis=1)
+    for i, total in enumerate(sums):
+        if abs(total - 1.0) > tolerance:
+            return i, f"components sum to {total:.9g}, further than {tolerance:g} from 1"
+    return probs / sums[:, None]

@@ -509,6 +509,54 @@ class TestBenchmark:
             tracemalloc.stop()
         assert peak < 2 * 3000 * (200 + 300) * 8
 
+    def test_synthetic_pairs_are_summarized_one_at_a_time(self, tmp_path):
+        # the run's peak is that of making its largest pair, not of holding every pair's matrices
+        argv = ["benchmark", "--synthetic", "--k", "200", "300", "--n", "3000", "--boot", "2",
+                "--out-dir", str(tmp_path / "o")]
+        spec = atckit.cli._generator_spec(atckit.cli.build_parser().parse_args(argv), 300, 0)
+        tracemalloc.start()
+        try:
+            make_shift_pair(spec)
+            _, largest_pair = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the summaries, 8 bytes per row and column: well under the k=200 pair's 9.6 MB of matrices
+        assert peak < largest_pair + 2 * 2**20
+
+    def test_synthetic_and_pair_together_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was read or made")
+
+        monkeypatch.setattr(atckit.harness, "load_dump", refuse)
+        monkeypatch.setattr(atckit.cli, "make_shift_pair", refuse)
+        argv = ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2",
+                "--pair", "nope.csv", "nope.csv", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: benchmark takes --pair dumps or --synthetic, not both\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_dimension_named_before_later_pairs_are_read(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "k4").mkdir()
+        k3 = _write_pair(tmp_path, k=3)
+        k4 = _write_pair(tmp_path / "k4", k=4)
+        real, read = atckit.harness.load_dump, []
+
+        def recording(path, *args, **kwargs):
+            read.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(atckit.harness, "load_dump", recording)
+        monkeypatch.setattr(atckit.harness, "_fork_pays", lambda path: False)
+        argv = ["benchmark", "--boot", "2", "--out-dir", str(tmp_path / "o")]
+        for pair in (k3, k3, k4):
+            argv += ["--pair", *map(str, pair)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: two pairs share dimension k=3\n")
+        assert read == [*k3, *k3]
+
     def test_unlabeled_pair_named(self, tmp_path, capsys):
         src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
         src.write_text("p0,p1,label\n0.9,0.1,0\n")

@@ -28,10 +28,10 @@ from atckit import (
     validate_matrix,
     write_dump,
 )
-from atckit.io import STRICT_SUM_TOLERANCE, _load_csv_fast, _read_csv
+from atckit.io import STRICT_SUM_TOLERANCE, _load_csv_fast, _read_csv, _text_tables
 from atckit.simplex import _BLOCK_CELLS, SUM_TOLERANCE, _row_blocks
 
-from oracles import csv_dump_text
+from oracles import csv_dump_text, csv_text_tables
 
 
 #: (file name, contents, where the bad row is named): diagnostics start
@@ -381,6 +381,12 @@ def _json_cells_set(n, k, labeled):
     return data
 
 
+    def test_text_tables_equal_a_plain_python_build(self):
+        for built, reference in zip(_text_tables(), csv_text_tables(), strict=True):
+            assert built.dtype == reference.dtype and built.shape == reference.shape
+            assert built.tobytes() == reference.tobytes()
+
+
 class TestJsonWriter:
     """The block writer gives the bytes of one ``json.dump`` call, whatever the blocks."""
 
@@ -588,11 +594,14 @@ class TestTrustedPath:
 class TestCsvFastPath:
     """numpy's loader gives the line parser's bits, or leaves the file to it."""
 
-    @pytest.mark.filterwarnings("error")
     @given(_dump_sets(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_equals_line_parser_or_defers(self, data, draws):
-        with tempfile.TemporaryDirectory() as tmp:
+        # warnings are errors inside the example only: a failing example then
+        # reports itself, where a filterwarnings mark also turned a warning of
+        # hypothesis's own failure report into a pytest internal error
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+            warnings.simplefilter("error")
             path = Path(tmp) / "d.csv"
             write_dump(data, path)
             lines = [line.split(",") for line in path.read_text().splitlines()]
@@ -639,6 +648,27 @@ class TestCsvFastPath:
         path = tmp_path / "wide.csv"
         write_dump(data, path)
         fast = _load_csv_fast(path, SUM_TOLERANCE)
+        probs, labels, _ = _read_csv(path)
+        assert fast.probs.tobytes() == validate_matrix(probs).tobytes()
+        assert fast.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize(
+        "endings, bom, last",
+        [(["\r"], "", True), (["\r"], "\ufeff", False), (["\r", "\n", "\r\n"], "", True),
+         (["\r\n", "\r", "\r", "\n"], "\ufeff", False), (["\n", "\r\n"], "", True)],
+        ids=["cr", "cr-bom-unended", "cr-lf-crlf", "crlf-cr-cr-lf-bom-unended", "lf-crlf"],
+    )
+    def test_any_mix_of_line_endings_takes_the_fast_path(self, tmp_path, endings, bom, last):
+        # a binary line ends only at LF: one with a lone CR inside is split where text mode ends lines
+        data = generate(GeneratorSpec(k=1000, n=24, target_accuracy=0.7, seed=8))
+        path = tmp_path / "mixed.csv"
+        write_dump(data, path)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "")  # a blank line
+        text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+        path.write_text(bom + (text if last else text.rstrip("\r\n")), encoding="utf-8", newline="")
+        fast = _load_csv_fast(path, SUM_TOLERANCE)
+        assert fast is not None
         probs, labels, _ = _read_csv(path)
         assert fast.probs.tobytes() == validate_matrix(probs).tobytes()
         assert fast.labels.tolist() == labels.tolist()

@@ -210,6 +210,29 @@ class TestExactInvariance:
                 assert np.array_equal(rows, base)
 
 
+@st.composite
+def row_sum_terms(draw):
+    """(n, k) terms, k in [1, 2000], magnitudes 1e-30 to 1e30 of mixed sign with zeros and -0.0."""
+    n = draw(st.sampled_from([1, 2, 3, 65, 200]))
+    k = draw(st.one_of(st.integers(1, 2000), st.sampled_from([255, 256, 257, 512, 513])))  # chunk edges
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = 10.0 ** rng.uniform(-30, 30, (n, k))
+    terms[rng.random((n, k)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] *= -1.0
+    for value in (0.0, -0.0):
+        terms[rng.random((n, k)) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = value
+    return terms
+
+
+class TestRowSum:
+    @given(row_sum_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_last_cumsum_of_the_sorted_rows(self, terms):
+        # bit for bit, the sign of a zero sum included: the sum adds strictly left to right
+        expected = np.cumsum(np.sort(terms, axis=1), axis=1)[:, -1]
+        got = score_module._sorted_row_sum(terms.copy())
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestRowBlocks:
     """Registry kernels and their rescalings score one row block at a time."""
 

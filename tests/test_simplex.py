@@ -29,8 +29,39 @@ from atckit.simplex import (
     _rng,
     _row_blocks,
     _sub_seed,
+    check_seed,
     derive_seed,
 )
+
+from oracles import validate_matrix_reference
+
+
+def _edited(*cells):
+    """Four valid rows of five components with each (row, column, value) of ``cells`` written in."""
+    rows = np.random.default_rng(20).dirichlet(np.ones(5), 4)
+    for i, j, value in cells:
+        rows[i, j] = value
+    return rows
+
+
+#: (id, matrix): the faults that decide which of validate_matrix's scans run, and inputs without one.
+SCAN_CASES = [
+    ("nan", _edited((2, 1, np.nan))),
+    ("inf", _edited((1, 3, np.inf))),
+    ("minus-inf", _edited((3, 0, -np.inf))),
+    ("inf-minus-inf", _edited((1, 0, np.inf), (1, 1, -np.inf))),
+    ("sum-overflows", _edited((1, 0, 1e308), (1, 1, 1e308))),
+    ("overflow-then-nan", _edited((1, 0, 1e308), (1, 1, 1e308), (3, 2, np.nan))),
+    ("overflow-then-below", _edited((0, 0, 1e308), (0, 1, 1e308), (2, 2, -0.5))),
+    ("below-tolerance", _edited((2, 0, -0.5))),
+    ("clamped-then-below", _edited((0, 1, -1e-7), (3, 4, -3e-6))),
+    ("clamped-within", _edited((0, 1, -1e-7), (2, 4, -5e-10))),
+    ("clamped-then-far", _edited((1, 1, -1e-7), (3, 0, 0.9))),
+    ("negative-zero", _edited((0, 0, -0.0), (2, 3, -0.0))),
+    ("all-negative-zero", np.full((2, 3), -0.0)),
+    ("valid", _edited()),
+    ("empty", np.zeros((0, 4))),
+]
 
 
 class TestValidateVector:
@@ -109,6 +140,28 @@ class TestValidateVector:
         v = validate_matrix([x / scale for x in raw], tolerance=1e-6)[0]
         assert abs(v.sum() - 1.0) <= 1e-12
         assert v.min() >= 0.0
+
+
+class TestValidateScansOnDemand:
+    """The non-finite and negative scans run only when the sums or the least
+    component call for them, and validate_matrix gives what running every
+    check on every component gives: the same error, row and message, or
+    the same bits."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-9])
+    @pytest.mark.parametrize("raw", [case for _, case in SCAN_CASES], ids=[name for name, _ in SCAN_CASES])
+    def test_matches_every_check_on_every_row(self, raw, tolerance):
+        expected = validate_matrix_reference(raw, tolerance)
+        try:
+            got = validate_matrix(raw, tolerance)
+        except NotOnSimplexError as exc:
+            assert (exc.row, exc.detail) == expected
+            assert str(exc) == f"row {exc.row}: {exc.detail}"
+            return
+        assert not isinstance(expected, tuple), f"accepted, where the reference gives {expected}"
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
 
 
 class TestPredictionSet:
@@ -273,6 +326,21 @@ class TestSeedRule:
         )
         (idx,) = next(_resample_blocks(5, np.random.SeedSequence(4), 1))
         assert np.array_equal(idx, np.random.default_rng(4).integers(0, 5, size=5))
+
+    @pytest.mark.parametrize(
+        "seed, negative",
+        [(3, False), (0, False), (-1, True), (2**70, False), (-(2**70), True), (True, False), (False, False),
+         (np.int64(-1), True), (np.uint8(4), False), ([5, -1], True), ((5, 2), False), (np.array([3, 4]), False)],
+        ids=repr,
+    )
+    def test_int_fast_path_and_other_kinds_keep_one_rule(self, seed, negative):
+        # a plain int is compared with 0; bools, numpy integers and sequences go through numpy
+        assert negative == bool(np.any(np.asarray(seed) < 0))
+        if negative:
+            with pytest.raises(InvalidArgumentError, match=r"^seed must not be negative, got "):
+                check_seed(seed)
+        else:
+            check_seed(seed)
 
     @pytest.mark.parametrize(
         "draw",
