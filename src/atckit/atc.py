@@ -14,6 +14,12 @@ Details that matter for exact reproducibility:
 * among equally good candidates the smallest wins, which is both
   deterministic and conservative (smaller below-threshold set on the
   target when scores tie).
+
+"Nearest" and "equally good" are decided on float64 distances, not
+exactly: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` returns 3.0,
+because 0.5 - 1/3 rounds to 0.16666666666666669 and 2/3 - 0.5 to
+0.16666666666666663, although the two proportions are equally far from
+0.5.
 """
 
 from __future__ import annotations
@@ -103,6 +109,9 @@ def _pick(candidates, ranks, below, idx, gamma: float) -> tuple[float, float, in
     neighbours, the last proportion below gamma or the first at or above
     it. Two distinct counts differ by at least 1/N, so no third candidate
     ties them, and the left neighbour, the smaller threshold, wins a tie.
+    The two distances are float64 differences, so a tie is one only after
+    rounding: an exact tie can go to the right neighbour (see the module
+    docstring).
     """
     counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
     total = np.cumsum(counts)
@@ -122,7 +131,9 @@ def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdMod
     ``gamma_s`` is interpreted in the error convention (a bare float is
     taken as an error rate). The rule that :func:`atc_estimate` and the
     bootstrap engine apply finds it in O(n log n), identical to the naive
-    quadratic scan over all candidates.
+    quadratic scan over all candidates. Nearness, ties to the smaller
+    threshold included, is decided on float64 distances:
+    ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` picks 3.0, not 2.0.
     """
     scores = _source_scores(source_scores)
     gamma = gamma_s.error if isinstance(gamma_s, MetricValue) else float(gamma_s)

@@ -27,9 +27,7 @@ from .harness import (
     CANONICAL_METHODS,
     DOC_REG_CALIBRATION_SETS,
     BenchmarkConfig,
-    _kernels,
     _load_summaries,
-    _summarize,
     aggregate,
     bootstrap_estimates,
     derive_seed,
@@ -137,11 +135,9 @@ def _cmd_benchmark(args) -> int:
         raise AtckitError("--pairwise needs at least two distinct --methods to compare")
     # checked before any pair is read or made
     config = BenchmarkConfig(tuple(args.methods), n_boot=args.boot, ci_level=args.ci, master_seed=args.seed)
-    # each pair is read or made when the suite asks for it, and summarized at once
+    # each pair is read or made when the suite asks for it, which summarizes it at once
     if args.synthetic:
-        kernels = _kernels(config.methods)
-        specs = (_generator_spec(args, k, derive_seed("gen", args.seed, k)) for k in args.k)
-        pairs = (tuple(_summarize(data, kernels) for data in make_shift_pair(spec)) for spec in specs)
+        pairs = (make_shift_pair(_generator_spec(args, k, derive_seed("gen", args.seed, k))) for k in args.k)
     elif args.pair:
         pairs = (_labeled_summaries(src_path, tgt_path, config.methods) for src_path, tgt_path in args.pair)
     else:
@@ -201,10 +197,6 @@ def _predicted_classes(k: int) -> set:
     return {quadratic} | {frozenset((i,)) for i in SCORE_IDS if i not in quadratic}
 
 
-def _predicted_consistent(a: ScoreFunction, b: ScoreFunction, k: int) -> bool:
-    return any({a.value, b.value} <= cls for cls in _predicted_classes(k))
-
-
 def _verdict_record(fn_a, fn_b, k, verdict) -> dict:
     record = {
         "fn_a": fn_a.value,
@@ -239,15 +231,16 @@ def _cmd_verify(args) -> int:
     )
     for (i, j), verdict in sorted(report.verdicts.items()):
         print(json.dumps(_verdict_record(fns[i], fns[j], args.k, verdict)))
-    if args.pair:
-        matches = report.verdicts[(0, 1)].consistent == _predicted_consistent(*fns, args.k)
-        print(f"expected-consistency match: {matches}")
-        return _EXIT_OK if matches else _EXIT_VERIFY_MISMATCH
-
+    # one rule for a pair and for all six: the predicted classes, restricted to the functions checked
     classes = {frozenset(fn.value for fn in cls) for cls in report.classes}
-    print("classes: " + json.dumps(sorted(sorted(cls) for cls in classes)))
-    ok = classes == _predicted_classes(args.k) and not report.transitivity_violations
-    print(f"expected-classes match: {ok}")
+    ids = {fn.value for fn in fns}
+    expected = {cls & ids for cls in _predicted_classes(args.k)} - {frozenset()}
+    ok = classes == expected and not report.transitivity_violations
+    if args.pair:
+        print(f"expected-consistency match: {ok}")
+    else:
+        print("classes: " + json.dumps(sorted(sorted(cls) for cls in classes)))
+        print(f"expected-classes match: {ok}")
     return _EXIT_OK if ok else _EXIT_VERIFY_MISMATCH
 
 

@@ -251,7 +251,6 @@ def score_once(source, target, methods, calibration_sets: int = DOC_REG_CALIBRAT
             check_calibration(source, calibration_sets)
         check_estimation_pair(source, target, "ATC" if method in SCORE_IDS else "DoC")
 
-    methods = tuple(dict.fromkeys(methods))
     if "doc-reg" in methods:  # (mean confidence, accuracy) per calibration set, refilled by each run
         try:
             pairs = np.empty((calibration_sets, 2))
@@ -346,12 +345,16 @@ def run_benchmark_suite(pairs, config: BenchmarkConfig) -> dict:
     summaries, dimensions ascending. ``pairs`` is read once, in its order,
     before any run: a pair whose dimension an earlier pair has is an error
     as soon as it comes, so an iterator that reads or makes each pair on
-    demand stops there."""
+    demand stops there. Each pair is summarized for ``config.methods`` as
+    it comes (a summary is kept as it is) and its sets are dropped, so an
+    iterator's pairs are held one at a time."""
+    kernels = _kernels(config.methods)
     by_k = {}
     for source_val, test in pairs:
         if test.k in by_k:
             raise InvalidArgumentError(f"two pairs share dimension k={test.k}")
-        by_k[test.k] = (source_val, test)
+        by_k[test.k] = (_summarize(source_val, kernels), _summarize(test, kernels))
+        del source_val, test  # the next pair is read or made without this one's matrices
     table = {}
     for k in sorted(by_k):
         table.update(run_benchmark(*by_k[k], config))

@@ -278,8 +278,7 @@ def _read_csv(path):
                     label = int(row[k])
                 except ValueError:
                     raise ParseError(f"line {lineno}: label {row[k]!r} is not an integer") from None
-                if not 0 <= label < k:
-                    raise ParseError(f"line {lineno}: label {label} outside [0, {k})")
+                _check_label(label, k, f"line {lineno}")
                 labels.append(label)
             lines.append(lineno)
     if not probs:
@@ -314,6 +313,12 @@ def _read_header(rows) -> tuple[int, bool]:
     return len(prob_cols), has_label
 
 
+def _check_label(label: int, k: int, where: str) -> None:
+    """A dump's one label rule: a class index in [0, k), else a ParseError at ``where``."""
+    if not 0 <= label < k:
+        raise ParseError(f"{where}: label {reprlib.repr(label)} outside [0, {k})")
+
+
 def _read_json(path):
     with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
         try:
@@ -339,9 +344,11 @@ def _read_json(path):
         for i, label in enumerate(labels):
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ParseError(f"row {i}: label {reprlib.repr(label)} is not an integer")
-        labels = np.array(labels, dtype=object)  # any width: range-checked before the int64 cast
     try:
         matrix = np.asarray(probs, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range
         raise ParseError(f"probability out of range: {exc}") from None
+    if labels is not None and width >= 2:  # k < 2 is validate_matrix's error, and it comes first
+        for i, label in enumerate(labels):
+            _check_label(label, width, f"row {i}")
     return matrix, labels

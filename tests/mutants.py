@@ -64,6 +64,12 @@ MUTANTS = {
     ),
     "mismatch-source-k-against-itself": ("harness.py", "if source.k != target.k:", "if source.k != source.k:"),
     "summary-summarized-again": ("harness.py", "if isinstance(data, _Summary):", "if False:"),
+    # the suite summarizes each pair as it reads it, so it holds one pair's matrices at a time
+    "suite-keeps-pairs-unsummarized": (
+        "harness.py",
+        "by_k[test.k] = (_summarize(source_val, kernels), _summarize(test, kernels))",
+        "by_k[test.k] = (source_val, test)",
+    ),
     "doc-reg-seed": (
         "harness.py",
         "_resample_blocks(len(source), _sub_seed(seed, 1), calibration_sets)",
@@ -77,6 +83,8 @@ MUTANTS = {
     "js-branch-bounds": ("scores.py", "(0.5 < out) & (out < 2.0)", "(0.25 < out) & (out < 2.0)"),
     # a one-row block transposes to (k, 1), whose outer axis numpy sums pairwise
     "row-sum-one-row-reduced": ("scores.py", "    if n == 1:\n", "    if False:\n"),
+    # the logs run unmasked, and one rule turns the NaN of 0 * log(0) into 0
+    "zero-rule-skipped": ("scores.py", "    logs[x == 0.0] = 0.0\n", "    pass\n"),
     "negative-clamp-to-abs": ("simplex.py", "probs[probs < 0.0] = 0.0", "probs[probs < 0.0] *= -1.0"),
     # the scans that validate_matrix runs only on demand
     "non-finite-scan-skipped": (
@@ -111,6 +119,8 @@ MUTANTS = {
     # the seed rule
     "sub-stream-index-first": ("simplex.py", "return [*np.ravel(seed), j]", "return [j, *np.ravel(seed)]"),
     "cli-seed-bound-off-by-one": ("cli.py", "if args.seed < 0:", "if args.seed < -1:"),
+    # verify judges a --pair by the predicted classes restricted to the two functions
+    "verify-pair-unrestricted": ("cli.py", "{cls & ids for cls in", "{cls for cls in"),
     "int-seed-allows-minus-one": ("simplex.py", "negative = seed < 0", "negative = seed < -1"),
     # the one resampler and the one monotone transform family
     "resample-skips-row-0": ("simplex.py", "rng.integers(0, n, size=", "rng.integers(1, n, size="),
@@ -120,6 +130,7 @@ MUTANTS = {
     # parse, validate, generate, fork and exit codes
     "header-allows-one-class": ("io.py", "if len(prob_cols) < 2 or", "if len(prob_cols) < 1 or"),
     "lone-cr-left-in-line": ("io.py", 'if line.find(b"\\r", 0, end) < 0:', "if True:"),
+    "label-range-off-by-one": ("io.py", "if not 0 <= label < k:", "if not 0 <= label <= k:"),
     "row-sum-tolerance-strict": ("simplex.py", "np.abs(sums - 1.0) > tolerance", "np.abs(sums - 1.0) >= tolerance"),
     "forced-argmax-loses-its-margin": ("synth.py", "= 0.5 + eps", "= 0.5 - eps"),
     "fork-on-one-cpu": ("harness.py", "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 1"),

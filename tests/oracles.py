@@ -260,3 +260,47 @@ def validate_matrix_reference(raw, tolerance):
         if abs(total - 1.0) > tolerance:
             return i, f"components sum to {total:.9g}, further than {tolerance:g} from 1"
     return probs / sums[:, None]
+
+
+def masked_log_kernels(probs):
+    """``{score id: scores}`` of an (n, k) block, with the logs taken only where
+    their argument is positive, as numpy's ``where=`` masks take them.
+
+    This is the form the package's kernels had before they took their logs
+    unmasked: ``negent`` runs ``log`` only where p > 0, and js's first
+    relative entropy runs ``log1p`` only where its step exceeds -1 and
+    ``log`` only where its ratio is positive, so no -inf meets a zero
+    factor. The terms are added as the package adds them, sorted per row
+    and then left to right, which the last column of ``cumsum`` gives.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    u = 1.0 / probs.shape[1]
+
+    def row_sum(terms):
+        return np.cumsum(np.sort(terms, axis=1), axis=1)[:, -1]
+
+    def rel_entr(x, y, masked):
+        out = x / y
+        near = (0.5 < out) & (out < 2.0)
+        step = (x - y) / y
+        if masked:
+            np.log1p(step, out=step, where=step > -1.0)
+            np.log(out, out=out, where=out > 0.0)
+        else:
+            np.log1p(step, out=step)
+            np.log(out, out=out)
+        np.putmask(out, near, step)
+        return out * x
+
+    negent = np.zeros(probs.shape)
+    np.log(probs, out=negent, where=probs > 0)
+    mid = (probs + u) * 0.5
+    js = (rel_entr(probs, mid, True) + rel_entr(u, mid, False)) * 0.5
+    return {
+        "max": np.max(probs, axis=1),
+        "negent": row_sum(negent * probs),
+        "l2n": row_sum(probs * probs),
+        "l1u": row_sum(np.abs(probs - u)),
+        "l2u": row_sum((probs - u) ** 2),
+        "js": row_sum(js),
+    }

@@ -1,6 +1,7 @@
 """Command line surface: flags, outputs, files, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -15,8 +16,14 @@ import atckit.cli
 from atckit import GeneratorSpec, Shift, generate, load_dump, make_shift_pair, write_dump
 from atckit.cli import main
 from atckit.harness import CANONICAL_METHODS
+from atckit.scores import SCORE_IDS
 
 from test_io import UNREADABLE
+
+
+def _predicted_consistent(a: str, b: str, k: int) -> bool:
+    """The rule ``verify --pair`` once had of its own: the two ids share a predicted class."""
+    return any({a, b} <= cls for cls in atckit.cli._predicted_classes(k))
 
 
 def _write_pair(tmp_path, k=2, n=150, seed=0, temperature=1.3):
@@ -652,6 +659,27 @@ class TestVerify:
     def test_bad_pair_spelling(self, capsys):
         assert main(["verify", "--k", "3", "--pair", "l2n+max"]) == 2
 
+    @pytest.mark.parametrize("points", [2, 200])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_pair_is_judged_as_in_the_all_pairs_run(self, capsys, k, points):
+        # with no search, a pair's verdict reads only the shared sample; two
+        # points leave some pairs at k > 2 looking consistent, a mismatch
+        flags = ["--k", str(k), "--points", str(points), "--budget", "0", "--seed", "3"]
+        assert main(["verify", *flags]) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        consistent = {
+            frozenset((r["fn_a"], r["fn_b"])): r["status"] == "consistent-on-sample"
+            for r in map(json.loads, lines[:-2])
+        }
+        codes = set()
+        for a, b in itertools.combinations_with_replacement(SCORE_IDS, 2):
+            observed = a == b or consistent[frozenset((a, b))]
+            code = main(["verify", *flags, "--pair", f"{a},{b}"])
+            assert capsys.readouterr().out.splitlines()[-1] == f"expected-consistency match: {code == 0}"
+            assert code == (0 if observed == _predicted_consistent(a, b, k) else 1), (a, b)
+            codes.add(code)
+        assert codes == ({0} if k == 2 or points > 2 else {0, 1})
+
 
 class TestGenerate:
     def test_generate_then_load(self, tmp_path):
@@ -803,7 +831,7 @@ class TestBadFlagValues:
         dump = tmp_path / "bad.json"
         dump.write_text('{"probs": [[0.9, 0.1], [0.5, 0.5]], "labels": [0, 5]}')
         assert main(["estimate", "--source", str(dump), "--target", str(dump)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {dump}: labels must lie in [0, 2)")
+        assert capsys.readouterr() == ("", f"error: {dump}: row 1: label 5 outside [0, 2)\n")
 
     @pytest.mark.parametrize("side", ["--source", "--target"])
     def test_json_label_beyond_int64(self, tmp_path, capsys, side):
@@ -812,7 +840,7 @@ class TestBadFlagValues:
         bad.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 99999999999999999999999]}')
         paths = {"--source": good, "--target": good, side: bad}
         assert main(["estimate", *(x for flag, path in paths.items() for x in (flag, str(path)))]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: labels must lie in [0, 2)\n"
+        assert capsys.readouterr().err == f"error: {bad}: row 1: label 99999999999999999999999 outside [0, 2)\n"
 
     def test_unparsable_label_prior_named(self, tmp_path, capsys):
         argv = ["generate", "--k", "2", "--n", "2", "--label-prior", "a,b", "--out", str(tmp_path / "x.csv")]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,10 @@ class TestConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(methods=("max", "mystery"))
+
+    def test_rejects_no_methods(self):
+        with pytest.raises(InvalidArgumentError, match="^need at least one method$"):
+            BenchmarkConfig(methods=())
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -179,6 +184,31 @@ class TestRunBenchmark:
         config = BenchmarkConfig(methods=("max",), n_boot=1)
         with pytest.raises(ValueError):
             run_benchmark_suite([pair, pair], config)
+
+    def test_suite_holds_one_generated_pair_at_a_time(self):
+        # the suite summarizes each pair as it comes: its peak is that of making the
+        # largest pair, not of holding every pair's matrices (the k=200 pair's are 9.6 MB)
+        config = BenchmarkConfig(CANONICAL_METHODS, n_boot=2, master_seed=5)
+        specs = [GeneratorSpec(k=k, n=3000, target_accuracy=0.8, shift=Shift(temperature=1.5), seed=k)
+                 for k in (200, 300)]
+        tracemalloc.start()
+        try:
+            make_shift_pair(specs[-1])
+            _, largest_pair = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            table = run_benchmark_suite((make_shift_pair(spec) for spec in specs), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest_pair + 2 * 2**20
+        kernels = atckit.harness._kernels(config.methods)
+        summaries = [
+            tuple(atckit.harness._summarize(data, kernels) for data in make_shift_pair(spec)) for spec in specs
+        ]
+        expected = run_benchmark_suite(summaries, config)
+        assert list(table) == list(expected)
+        for key, errors in expected.items():
+            assert table[key].tobytes() == errors.tobytes(), key
 
 
 def _engine_runs(source, target, methods, n_boot, master_seed, calibration_sets=10):

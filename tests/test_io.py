@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+import reprlib
 import sys
 import tempfile
 import threading
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from atckit import (
     AtckitError,
+    DimensionError,
     GeneratorSpec,
-    InvalidArgumentError,
     NotOnSimplexError,
     ParseError,
     PredictionSet,
@@ -549,6 +550,32 @@ class TestJsonParsing:
         with pytest.raises(ParseError):
             load_dump(path)
 
+    @pytest.mark.parametrize("label", [5, -1, 10**50])
+    def test_label_out_of_range_named_as_in_csv(self, tmp_path, label):
+        # the same class and words as the CSV's, the label bounded by reprlib as the type message is
+        rows = [(0.9, 0.1, 0), (0.5, 0.5, 1), (0.2, 0.8, label)]
+        json_path, csv_path = tmp_path / "lab.json", tmp_path / "lab.csv"
+        json_path.write_text(json.dumps({"probs": [r[:2] for r in rows], "labels": [r[2] for r in rows]}))
+        csv_path.write_text("p0,p1,label\n" + "".join("%r,%r,%d\n" % r for r in rows))
+        for path, where in ((json_path, "row 2"), (csv_path, "line 4")):
+            message = f"{path}: {where}: label {reprlib.repr(label)} outside [0, 2)"
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                load_dump(path)
+
+    @pytest.mark.parametrize(
+        "probs, error, message",
+        [
+            ([[0.5, 0.5], [1.0]], ParseError, "row 1: ragged or non-list probability row"),
+            ([[0.5, 0.5], [0.5, "0.5"]], ParseError, "row 1: probability '0.5' is not a number"),
+            ([[1.0], [1.0]], DimensionError, "probability vectors need k >= 2 components, got k=1"),
+        ],
+    )
+    def test_faults_before_an_out_of_range_label_still_come_first(self, tmp_path, probs, error, message):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"probs": probs, "labels": [0, 7]}))
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dump(path)
+
 
 class TestTrustedPath:
     """A dump's rows are validated once and kept bit for bit from there on."""
@@ -587,7 +614,8 @@ class TestTrustedPath:
     def test_json_label_beyond_int64_is_out_of_range(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 99999999999999999999999]}')
-        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(f'{path}: labels must lie in [0, 2)')}"):
+        message = f"{path}: row 1: label 99999999999999999999999 outside [0, 2)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_dump(path)
 
 

@@ -22,7 +22,7 @@ from atckit import scores as score_module
 from atckit import simplex
 from atckit.simplex import _row_blocks
 
-from oracles import js_divergence_reference, js_to_uniform_reference, neg_entropy_reference
+from oracles import js_divergence_reference, js_to_uniform_reference, masked_log_kernels, neg_entropy_reference
 
 ALL_FNS = tuple(ScoreFunction)
 
@@ -231,6 +231,46 @@ class TestRowSum:
         expected = np.cumsum(np.sort(terms, axis=1), axis=1)[:, -1]
         got = score_module._sorted_row_sum(terms.copy())
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def _zero_rule_block(n, k, subnormal, seed):
+    """Validated rows from Dirichlet(1). Below each row's top, the components take in
+    turn 0, -0.0, with ``subnormal`` a few times 5e-324, and their own value; every
+    third row is a vertex, its zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(k), size=n)
+    for i, row in enumerate(rows):
+        top = row.argmax()
+        others = np.flatnonzero(np.arange(k) != top)
+        kind = (i + np.arange(others.size)) % 4
+        row[others[kind == 0]] = 0.0
+        row[others[kind == 1]] = -0.0
+        if subnormal:
+            row[others[kind == 2]] = rng.integers(1, 2**20, size=np.count_nonzero(kind == 2)) * 5e-324
+        if i % 3 == 2:
+            row[others[kind >= 2]] = 0.0
+        row[top] = 0.0
+        row[top] = 1.0 - row.sum()
+    return PredictionSet(rows).probs
+
+
+class TestZeroRule:
+    """The logs run unmasked, and one rule sets a term to 0 where its factor is 0."""
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in (1, 2, 65, 300) for k in (2, 3, 257, 1000)] + [(1, 70000), (2, 70000)]
+    )
+    @pytest.mark.parametrize("subnormal", [False, True])
+    def test_masked_log_bits_and_no_floating_point_error(self, n, k, subnormal):
+        probs = _zero_rule_block(n, k, subnormal, seed=n * 100_003 + k)
+        expected = masked_log_kernels(probs)
+        # a subnormal component's square or p log p underflows, in the masked form too
+        under = "ignore" if subnormal else "raise"
+        with warnings.catch_warnings(), np.errstate(all="raise", under=under):
+            warnings.simplefilter("error")
+            for fn in ALL_FNS:
+                got = score_batch(probs, fn)
+                assert got.tobytes() == expected[fn.value].tobytes(), fn
 
 
 class TestRowBlocks:
