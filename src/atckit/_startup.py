@@ -1,7 +1,9 @@
 """Start-up of a fresh CLI process; cli.py imports it before the rest of atckit.
 
-numpy not yet loaded means a fresh CLI process. Library callers and
-pytest import numpy before ``atckit.cli``, so neither rule touches them.
+numpy not yet loaded means a fresh CLI process, and this module imports
+numpy there, also when the caller set ``OPENBLAS_NUM_THREADS``, so numpy
+always loads under both rules below. Library callers and pytest import
+numpy before ``atckit.cli``, so neither rule touches them.
 
 One BLAS thread. atckit's only BLAS/LAPACK call is ``np.polyfit`` on
 about ten points, yet OpenBLAS starts one pool thread per extra CPU as
@@ -12,7 +14,9 @@ found. A caller who set the variable keeps its value.
 
 No collection of the imports. The cyclic garbage collector is off from
 here until the CLI's last import, where :func:`freeze` freezes what the
-imports built and turns the collector back on. No later collection walks
+imports built and turns the collector back on. The modules a subcommand
+loads later run with the collector on, and the subcommand calls
+:func:`freeze` again once they have run. No later collection walks
 the frozen objects: not one in this process, not the one at interpreter
 exit, and not one in a forked ``estimate`` worker (Python's ``gc``
 documentation advises freezing before a fork). Nothing is collected
@@ -32,16 +36,20 @@ _held = _fresh and gc.isenabled()
 if _held:
     gc.disable()
 
-if _fresh and "OPENBLAS_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if _fresh:
+    _one_thread = "OPENBLAS_NUM_THREADS" not in os.environ
+    if _one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401
     finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+        if _one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def freeze() -> None:
-    """After the CLI's last import: freeze the heap and turn the collector back on."""
+    """After the CLI's last import, and again after a subcommand's: freeze
+    the heap and turn the collector back on."""
     if _held:
         gc.freeze()
         gc.enable()

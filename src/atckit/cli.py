@@ -12,41 +12,51 @@ Subcommands:
 
 Exit codes: 0 success (or verification matched expectations), 1
 verification mismatch, 2 input error.
+
+A subcommand runs only the modules it uses. The parser reads ``scores``
+and ``doc`` (with ``simplex``), so they are imported with this module.
+Every other atckit submodule is put in ``sys.modules`` through importlib's
+``LazyLoader``, and its body runs on first attribute use, which each
+subcommand's own imports make: ``verify`` runs ``ordering``; ``generate``
+runs ``synth`` and ``io``; ``estimate`` runs ``harness``, which runs
+``atc`` and ``io``; ``benchmark`` runs those and ``synth``. A module
+imported before this one is kept as it is. Every submodule is still in
+``sys.modules`` after ``import atckit.cli``, and a module loads on
+``getattr``, so code that looks modules up there and patches their
+functions (perfbench's tracing) sees them all.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from . import _startup  # before numpy loads: one BLAS thread, no collection while importing
+from . import _SUBMODULES, _startup  # _startup before numpy loads: one BLAS thread, no collection
+from .doc import _DEFAULT_METHODS, CANONICAL_METHODS, DOC_REG_CALIBRATION_SETS
 from .errors import AtckitError, InvalidArgumentError, MissingLabelsError
-from .harness import (
-    CANONICAL_METHODS,
-    DOC_REG_CALIBRATION_SETS,
-    BenchmarkConfig,
-    _load_summaries,
-    aggregate,
-    bootstrap_estimates,
-    derive_seed,
-    format_aggregate_table,
-    pairwise_difference_report,
-    rank_methods,
-    run_benchmark_suite,
-    score_once,
-    summarize,
-    write_aggregate_csv,
-    write_runs_csv,
-)
-from .io import write_dump
-from .ordering import verify_equivalence_relation
 from .scores import SCORE_IDS, ScoreFunction
-from .simplex import Convention
-from .synth import GeneratorSpec, Shift, generate, make_shift_pair
+from .simplex import Convention, derive_seed
 
-_startup.freeze()  # the last import is done
+
+def _register_lazily(names) -> None:
+    """Put each named atckit submodule in ``sys.modules`` unexecuted: its body
+    runs on first attribute use (the lazy-import recipe of importlib's docs)."""
+    for name in names:
+        fullname = f"atckit.{name}"
+        if fullname in sys.modules:
+            continue  # a second object for the module would split its classes' identities
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+
+
+_register_lazily(_SUBMODULES)
+_startup.freeze()  # the last import is done; each subcommand freezes again once its modules have run
 
 _EXIT_OK = 0
 _EXIT_VERIFY_MISMATCH = 1
@@ -77,6 +87,9 @@ def _add_estimate_parser(subparsers, seeded) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    from .harness import _load_summaries, bootstrap_estimates, score_once, summarize
+
+    _startup.freeze()
     if args.method == "atc":
         methods = SCORE_IDS if args.score == "all" else (args.score,)
     else:
@@ -117,7 +130,7 @@ def _add_benchmark_parser(subparsers, seeded) -> None:
     p.add_argument(
         "--methods",
         nargs="+",
-        default=list(BenchmarkConfig.methods),
+        default=list(_DEFAULT_METHODS),
         choices=CANONICAL_METHODS,
     )
     p.add_argument("--boot", type=int, default=1000)
@@ -129,6 +142,19 @@ def _add_benchmark_parser(subparsers, seeded) -> None:
 
 
 def _cmd_benchmark(args) -> int:
+    from .harness import (
+        BenchmarkConfig,
+        aggregate,
+        format_aggregate_table,
+        pairwise_difference_report,
+        rank_methods,
+        run_benchmark_suite,
+        write_aggregate_csv,
+        write_runs_csv,
+    )
+    from .synth import make_shift_pair
+
+    _startup.freeze()
     if args.synthetic and args.pair:
         raise AtckitError("benchmark takes --pair dumps or --synthetic, not both")
     if args.pairwise and len(set(args.methods)) < 2:
@@ -171,6 +197,8 @@ def _cmd_benchmark(args) -> int:
 
 def _labeled_summaries(src_path, tgt_path, methods):
     """The summaries of a ``--pair``, which must be labeled on both sides."""
+    from .harness import _load_summaries
+
     source, target = _load_summaries(src_path, tgt_path, methods)
     if source.labels is None or target.labels is None:
         raise MissingLabelsError(f"benchmark pairs need labels on both sides ({src_path}, {tgt_path})")
@@ -218,6 +246,9 @@ def _verdict_record(fn_a, fn_b, k, verdict) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .ordering import verify_equivalence_relation
+
+    _startup.freeze()
     if args.pair:
         try:
             id_a, id_b = (part.strip() for part in args.pair.split(","))
@@ -256,7 +287,9 @@ def _add_generator_flags(p) -> None:
     )
 
 
-def _generator_spec(args, k: int, seed: int, label_prior=None) -> GeneratorSpec:
+def _generator_spec(args, k: int, seed: int, label_prior=None):
+    from .synth import GeneratorSpec, Shift
+
     return GeneratorSpec(
         k=k, n=args.n, target_accuracy=args.accuracy, concentration=args.concentration,
         shift=Shift(temperature=args.temperature, label_prior=label_prior), seed=seed,
@@ -274,6 +307,10 @@ def _add_generate_parser(subparsers, seeded) -> None:
 
 
 def _cmd_generate(args) -> int:
+    from .io import write_dump
+    from .synth import generate
+
+    _startup.freeze()
     prior = None
     if args.label_prior:
         try:

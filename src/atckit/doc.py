@@ -21,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     MissingLabelsError,
 )
-from .scores import ScoreFunction, score_batch
+from .scores import SCORE_IDS, ScoreFunction, score_batch
 from .simplex import (
     Convention,
     MetricValue,
@@ -31,6 +31,16 @@ from .simplex import (
     true_accuracy,
 )
 
+#: Every method id the harness understands, in canonical output order. The
+#: method constants live here, with the DoC methods, so that the CLI's
+#: parser reads them without running the harness.
+CANONICAL_METHODS = SCORE_IDS + ("doc", "doc-reg")
+
+#: The methods a benchmark runs unless told otherwise: six ATC variants + naive DoC.
+_DEFAULT_METHODS = CANONICAL_METHODS[:-1]
+
+#: Resamples used to fit the regression baseline within each run.
+DOC_REG_CALIBRATION_SETS = 10
 
 #: Calibration gaps this close differ only by summation rounding (e.g. two
 #: resamples holding the same rows in another order), so they fix no line.

@@ -43,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atc import _pick, _rank
-from .doc import check_calibration, doc_accuracy
+from .doc import (
+    _DEFAULT_METHODS,
+    CANONICAL_METHODS,
+    DOC_REG_CALIBRATION_SETS,
+    check_calibration,
+    doc_accuracy,
+)
 from .errors import DimensionError, EmptyInputError, InvalidArgumentError
 from .io import load_dump
 from .scores import SCORE_IDS, ScoreFunction, score_batch
@@ -59,12 +65,6 @@ from .simplex import (
     true_accuracy,
 )
 
-#: Every method id the harness understands, in canonical output order.
-CANONICAL_METHODS = SCORE_IDS + ("doc", "doc-reg")
-
-#: Resamples used to fit the regression baseline within each run.
-DOC_REG_CALIBRATION_SETS = 10
-
 #: Decimal places a mean error is rounded to before methods are ranked.
 RANK_DECIMALS = 10
 
@@ -76,7 +76,7 @@ _FORK_MIN_BYTES = 1 << 19
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    methods: tuple = CANONICAL_METHODS[:-1]  # six ATC variants + naive DoC
+    methods: tuple = _DEFAULT_METHODS
     n_boot: int = 1000
     ci_level: float = 0.95
     master_seed: int = 0

@@ -14,6 +14,9 @@ numpy's divide and invalid warnings off. A zero component gives a -inf
 log, and one rule, :func:`_x_times`, multiplies each log by its factor x
 and sets the term to 0 where x is zero (either sign). Running a log only
 where x > 0 (``where=``) was slower, and stated the rule once per log.
+A subnormal component makes ``negent``'s, ``l2n``'s and ``js``'s products
+and ratios underflow; those kernels turn numpy's underflow check off, so
+a caller's ``np.errstate(under="raise")`` does not stop a valid row.
 
 Per-component terms are sorted before summation, which makes every score
 exactly invariant under permutation of the components rather than merely
@@ -99,12 +102,14 @@ def _x_times(x, logs: np.ndarray) -> np.ndarray:
 
 
 def _neg_entropy(probs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0: log -inf, then 0 * -inf = NaN
+    # p = 0: log -inf, then 0 * -inf = NaN; a subnormal p's p log p underflows
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         return _sorted_row_sum(_x_times(probs, np.log(probs)))
 
 
 def _l2_norm_sq(probs: np.ndarray) -> np.ndarray:
-    return _sorted_row_sum(probs * probs)
+    with np.errstate(under="ignore"):  # a subnormal component's square
+        return _sorted_row_sum(probs * probs)
 
 
 def _l1_to_uniform(probs: np.ndarray) -> np.ndarray:
@@ -147,9 +152,10 @@ def _js_to_uniform(probs: np.ndarray) -> np.ndarray:
     u = 1.0 / probs.shape[1]
     mid = probs + u
     mid *= 0.5
-    terms = _rel_entr(probs, mid)
-    terms += _rel_entr(u, mid)
-    terms *= 0.5
+    with np.errstate(under="ignore"):  # a subnormal component's ratio to mid, and its terms
+        terms = _rel_entr(probs, mid)
+        terms += _rel_entr(u, mid)
+        terms *= 0.5
     return _sorted_row_sum(terms)
 
 

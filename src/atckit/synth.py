@@ -25,6 +25,13 @@ from .simplex import PredictionSet, _rng, _sub_seed, check_seed, check_shape, va
 _MAX_REDRAWS = 1000
 
 
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0:
+        raise InvalidArgumentError("temperature must be positive")
+    if temperature == np.inf:  # 1 / inf flattens every row to uniform
+        raise InvalidArgumentError(f"temperature must be finite and positive, got {temperature}")
+
+
 @dataclass(frozen=True)
 class Shift:
     """Source-to-target distortion: confidence softening and/or label prior."""
@@ -33,8 +40,7 @@ class Shift:
     label_prior: tuple | None = None
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise InvalidArgumentError("temperature must be positive")
+        _check_temperature(self.temperature)
         if self.label_prior is not None:
             object.__setattr__(self, "label_prior", tuple(float(x) for x in self.label_prior))
 
@@ -141,8 +147,7 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     (extreme temperatures), which raises ``InvalidArgumentError``. Never
     writes to ``probs``; ``temperature == 1`` returns it unchanged.
     """
-    if not temperature > 0:
-        raise InvalidArgumentError("temperature must be positive")
+    _check_temperature(temperature)
     if temperature == 1.0:
         return probs
     powered = probs ** (1.0 / temperature)

@@ -138,6 +138,12 @@ MUTANTS = {
     # the start-up of a fresh CLI process
     "library-caller-frozen": ("_startup.py", "_held = _fresh and gc.isenabled()", "_held = gc.isenabled()"),
     "collector-left-off": ("_startup.py", "        gc.enable()\n", "        pass\n"),
+    "numpy-only-when-variable-unset": (
+        "_startup.py", "if _fresh:\n    _one_thread", 'if _fresh and "OPENBLAS_NUM_THREADS" not in os.environ:\n    _one_thread',
+    ),
+    # a subcommand runs only the modules it uses, and an imported module is kept
+    "registration-replaces-imported-modules": ("cli.py", "            continue  # a second object", "            pass  # a second object"),
+    "registration-eager": ("cli.py", "spec.loader = importlib.util.LazyLoader(spec.loader)", "spec.loader = spec.loader"),
 }
 
 

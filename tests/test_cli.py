@@ -488,7 +488,7 @@ class TestBenchmark:
             raise AssertionError("a pair was read or made before the config was checked")
 
         monkeypatch.setattr(atckit.harness, "load_dump", refuse)
-        monkeypatch.setattr(atckit.cli, "make_shift_pair", refuse)
+        monkeypatch.setattr(atckit.synth, "make_shift_pair", refuse)
         inputs = {"pair": ["--pair", "nope.csv", "nope.csv"], "synthetic": ["--synthetic", "--k", "3"]}[source]
         argv = ["benchmark", *inputs, *flags, "--out-dir", str(tmp_path / "o")]
         if err is None:
@@ -538,7 +538,7 @@ class TestBenchmark:
             raise AssertionError("a pair was read or made")
 
         monkeypatch.setattr(atckit.harness, "load_dump", refuse)
-        monkeypatch.setattr(atckit.cli, "make_shift_pair", refuse)
+        monkeypatch.setattr(atckit.synth, "make_shift_pair", refuse)
         argv = ["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2",
                 "--pair", "nope.csv", "nope.csv", "--out-dir", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -756,6 +756,7 @@ BAD_FLAG_VALUES = [
     ["verify", "--k", "3", "--points", "10", "--seed", "-1"],
     ["generate", "--k", "3", "--n", "5", "--label-prior", "0.5,0.5"],
     ["generate", "--k", "3", "--n", "5", "--seed", "-5"],
+    ["generate", "--k", "3", "--n", "5", "--temperature", "inf"],
 ]
 
 

@@ -1,5 +1,6 @@
 """What importing atckit loads: a lazy namespace, and for the CLI one BLAS
-thread, a frozen import heap and no ``numpy.ma``.
+thread, a frozen import heap, no ``numpy.ma`` and only the modules that a
+subcommand uses.
 
 Every check runs in a fresh interpreter, because pytest has already
 imported numpy and every atckit module.
@@ -157,6 +158,12 @@ def test_callers_thread_setting_is_kept():
     assert _fresh(_CLI_THREADS, OPENBLAS_NUM_THREADS="2") == {"after_import": 2, "env": "2"}
 
 
+def test_startup_loads_numpy_also_when_the_caller_set_the_variable():
+    # so numpy loads under the held collector whichever atckit modules the CLI imports eagerly
+    script = "import json, sys, atckit._startup; print(json.dumps('numpy' in sys.modules))"
+    assert _fresh(script, OPENBLAS_NUM_THREADS="2") is True
+
+
 def test_numpy_loaded_first_leaves_the_environment_alone():
     script = (
         "import json, os, numpy\n"
@@ -232,3 +239,75 @@ def test_bootstrap_commands_never_load_numpy_ma(tmp_path):
     benchmark = f"benchmark|--synthetic|--k|2|3|--n|100|--boot|4|--pairwise|--out-dir|{tmp_path}"
     estimate = f"estimate|--source|{tmp_path / 'src.csv'}|--target|{tmp_path / 'tgt.csv'}|--method|doc-reg|--boot|3"
     assert _fresh(_MASKED, benchmark, estimate) == {"exit": [0, 0], "numpy.ma": False}
+
+
+# ------------------------------------------- only the modules a subcommand uses
+
+_BODIES = """
+import gc, json, sys
+from pathlib import Path
+ran = set()
+def seen(event, args):
+    if event == "exec":
+        path = Path(getattr(args[0], "co_filename", ""))
+        if path.parent.name == "atckit":
+            ran.add(path.stem)
+sys.addaudithook(seen)  # a module's body runs through exec; looking at sys.modules could load it
+import atckit.cli
+report = {"import": sorted(ran), "frozen_at_import": gc.get_freeze_count()}
+if sys.argv[1:]:
+    report["exit"] = atckit.cli.main(sys.argv[1:])
+    report["ran"] = sorted(ran)
+    report["frozen_after"] = gc.get_freeze_count()
+print(json.dumps(report))
+"""
+
+#: the modules ``import atckit.cli`` runs: what the parser reads
+_PARSER = ["__init__", "_startup", "cli", "doc", "errors", "scores", "simplex"]
+
+
+def test_cli_import_runs_only_what_the_parser_reads():
+    assert _fresh(_BODIES)["import"] == _PARSER
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["verify", "--k", "3", "--points", "50", "--budget", "0"], ["ordering"]),
+        (["generate", "--k", "3", "--n", "20", "--out", "{tmp}/x.csv"], ["io", "synth"]),
+        (["estimate", "--source", "{tmp}/src.csv", "--target", "{tmp}/tgt.csv", "--boot", "2"], ["atc", "harness", "io"]),
+        (
+            ["benchmark", "--synthetic", "--k", "3", "--n", "60", "--boot", "2", "--out-dir", "{tmp}"],
+            ["atc", "harness", "io", "synth"],
+        ),
+    ],
+    ids=["verify", "generate", "estimate", "benchmark"],
+)
+def test_subcommand_runs_only_its_modules_and_freezes_them(tmp_path, argv, runs):
+    source, target = make_shift_pair(GeneratorSpec(k=3, n=40, target_accuracy=0.8, seed=0))
+    write_dump(source, tmp_path / "src.csv")
+    write_dump(target, tmp_path / "tgt.csv")
+    report = _fresh(_BODIES, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert report["exit"] == 0
+    assert report["ran"] == sorted(_PARSER + runs)
+    assert report["frozen_after"] > report["frozen_at_import"] > 0
+
+
+_IMPORTED_FIRST = """
+import json, sys
+import atckit.harness
+harness = sys.modules["atckit.harness"]
+import atckit.cli
+suite, calls = harness.run_benchmark_suite, []
+def counted(*args):
+    calls.append(1)
+    return suite(*args)
+harness.run_benchmark_suite = counted
+code = atckit.cli.main(["benchmark", "--synthetic", "--k", "3", "--n", "50", "--boot", "2", "--out-dir", sys.argv[1]])
+print(json.dumps({"kept": sys.modules["atckit.harness"] is harness, "exit": code, "calls": len(calls)}))
+"""
+
+
+def test_module_imported_before_the_cli_is_kept_and_patchable(tmp_path):
+    # registering a second object for it would split the identities of its classes
+    assert _fresh(_IMPORTED_FIRST, str(tmp_path)) == {"kept": True, "exit": 0, "calls": 1}

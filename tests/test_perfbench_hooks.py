@@ -52,3 +52,27 @@ def test_cli_import_loads_every_traced_module():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     loaded = set(json.loads(result.stdout))
     assert {module for module, _, _ in TRACED.values()} <= loaded
+
+
+_SAME_FUNCTIONS = """
+import importlib, json, sys
+import atckit.cli
+report = {}
+for module, attr in json.loads(sys.argv[1]):
+    registered = sys.modules[module]
+    fn = getattr(registered, attr)  # the first use runs the module's body
+    plain = importlib.import_module(module)
+    report[f"{module}.{attr}"] = [plain is registered, getattr(plain, attr) is fn, fn.__globals__ is vars(plain)]
+print(json.dumps(report))
+"""
+
+
+def test_registered_modules_give_what_a_plain_import_gives():
+    # ``install`` reads each function off sys.modules and patches every module
+    # namespace that holds that object, its defining module's among them
+    traced = sorted({(module, attr) for module, attr, _ in TRACED.values()})
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run(
+        [sys.executable, "-c", _SAME_FUNCTIONS, json.dumps(traced)], capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(result.stdout) == {f"{module}.{attr}": [True, True, True] for module, attr in traced}

@@ -43,6 +43,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError, match=message):
             GeneratorSpec(k=3, n=10, target_accuracy=0.8, concentration=concentration)
 
+    def test_temperature_must_be_finite(self):
+        message = "^temperature must be finite and positive, got inf$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            Shift(temperature=float("inf"))
+        with pytest.raises(InvalidArgumentError, match=message):
+            apply_temperature(np.array([[0.7, 0.2, 0.1]]), float("inf"))
+
     @pytest.mark.parametrize("concentration", [1e308, 1e-320])
     def test_finite_extreme_concentrations_generate(self, concentration):
         data = generate(GeneratorSpec(k=3, n=50, target_accuracy=0.8, concentration=concentration, seed=1))
