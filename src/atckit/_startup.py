@@ -15,16 +15,17 @@ found. A caller who set the variable keeps its value.
 No collection of the imports. The cyclic garbage collector is off from
 here until the CLI's last import, where :func:`freeze` freezes what the
 imports built and turns the collector back on. The modules a subcommand
-loads later run with the collector on, and the subcommand calls
-:func:`freeze` again once they have run. No later collection walks
-the frozen objects: not one in this process, not the one at interpreter
-exit, and not one in a forked ``estimate`` worker (Python's ``gc``
-documentation advises freezing before a fork). Nothing is collected
-before the freeze. A collection would free about 350 objects, mostly
-the pure-Python classes of ``datetime`` that its C version replaces
-while numpy loads, and so lower peak RSS by 0.2-1.6 MiB; but its pass
-over the whole heap cost about 7 ms a call on a shared 2-CPU host. A
-collector the caller had already turned off stays off.
+loads later run uncollected too: :func:`hold` turns the collector off as
+the subcommand starts, and the subcommand calls :func:`freeze` again once
+they have run. No later collection walks the frozen objects: not one in
+this process, not the one at interpreter exit, and not one in a forked
+``estimate`` worker (Python's ``gc`` documentation advises freezing
+before a fork). Nothing is collected before the freeze. A collection
+would free about 350 objects, mostly the pure-Python classes of
+``datetime`` that its C version replaces while numpy loads, and so lower
+peak RSS by 0.2-1.6 MiB; but its pass over the whole heap cost about
+7 ms a call on a shared 2-CPU host. A collector the caller had already
+turned off stays off.
 """
 
 import gc
@@ -45,6 +46,12 @@ if _fresh:
     finally:
         if _one_thread:
             del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+def hold() -> None:
+    """At the start of a subcommand: no collection until its :func:`freeze`."""
+    if _held:
+        gc.disable()
 
 
 def freeze() -> None:

@@ -15,6 +15,13 @@ Details that matter for exact reproducibility:
   deterministic and conservative (smaller below-threshold set on the
   target when scores tie).
 
+The rule reads only the order of the source scores, and once they are
+ranked (``_rank``, one sort) it is an order statistic: with i the first
+position in the sorted source whose proportion i/N reaches the source
+error, the best candidate is the score at position i - 1 or the next
+larger distinct score (the sentinel past the largest), so one partition
+per pick (``_pick``, O(N)) finds it.
+
 "Nearest" and "equally good" are decided on float64 distances, not
 exactly: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` returns 3.0,
 because 0.5 - 1/3 rounds to 0.16666666666666669 and 2/3 - 0.5 to
@@ -24,6 +31,7 @@ because 0.5 - 1/3 rounds to 0.16666666666666669 and 2/3 - 0.5 to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +83,7 @@ def _source_scores(values) -> np.ndarray:
     if scores.size == 0:
         raise EmptyInputError("cannot learn a threshold from zero scores")
     if not np.all(np.isfinite(scores)):
-        raise ValueError("source scores must be finite")
+        raise InvalidArgumentError("source scores must be finite")
     return scores
 
 
@@ -84,7 +92,7 @@ def _target_scores(values) -> np.ndarray:
     if scores.size == 0:
         raise EmptyInputError("cannot estimate from zero target scores")
     if np.any(np.isnan(scores)):
-        raise ValueError("target scores must not contain NaN")
+        raise InvalidArgumentError("target scores must not contain NaN")
     return scores
 
 
@@ -98,30 +106,53 @@ def _rank(source_scores, target_scores):
     return candidates, ranks, np.searchsorted(np.sort(target_scores), candidates, side="left")
 
 
+def _first_at(gamma: float, n: int) -> int:
+    """The first i in [0, n] with ``i / n >= gamma`` for gamma in [0, 1], in
+    the float64 division the proportions use. ``ceil(gamma * n)`` rounds
+    at most one away from it."""
+    i = math.ceil(gamma * n)
+    if i and (i - 1) / n >= gamma:
+        return i - 1
+    if i < n and i / n < gamma:
+        return i + 1
+    return i
+
+
 def _pick(candidates, ranks, below, idx, gamma: float) -> tuple[float, float, int]:
     """The rule's pick step on source rows ``idx``: ``(threshold, proportion,
     below)``, where ``below`` is the target count strictly below the threshold.
     Only the scores of ``idx`` and the sentinel are candidates.
 
-    The kept candidates' proportions strictly increase from 0, and the
-    sentinel's 1.0 lies past the last, so ``|gamma - p|`` falls up to gamma
-    and rises after it: its first minimum is one of gamma's two
-    neighbours, the last proportion below gamma or the first at or above
-    it. Two distinct counts differ by at least 1/N, so no third candidate
-    ties them, and the left neighbour, the smaller threshold, wins a tie.
-    The two distances are float64 differences, so a tie is one only after
-    rounding: an exact tie can go to the right neighbour (see the module
-    docstring).
+    A kept candidate's proportion is b/N, where b is the first position of
+    its tie group in the N sorted ranks, and the sentinel's is 1.0. These
+    strictly increase, so ``|gamma - p|`` falls up to gamma and rises after
+    it: its first minimum is one of gamma's two neighbours. With i the
+    first position whose i/N is at least gamma, the right neighbour is the
+    first group that starts at or after i, and the left one the group that
+    holds position i - 1, the (i - 1)-th order statistic ``a``. One
+    partition at i - 1 finds both in O(N): the ranks below ``a`` give the
+    left proportion, the smallest rank above it is the right candidate
+    (the sentinel if there is none), and the ranks not above it give the
+    right proportion. Two distinct counts differ by at least 1/N, so no
+    third candidate ties them, and the left neighbour, the smaller
+    threshold, wins a tie. The two distances are float64 differences, so
+    a tie is one only after rounding: an exact tie can go to the right
+    neighbour (see the module docstring).
     """
-    counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
-    total = np.cumsum(counts)
-    kept = np.flatnonzero(counts)
-    proportions = (total[kept] - counts[kept]) / total[-1]
-    best = int(np.searchsorted(proportions, gamma))  # gamma's right neighbour, the sentinel past the end
-    proportion = proportions[best] if best < kept.size else 1.0
-    if best and gamma - proportions[best - 1] <= proportion - gamma:  # the left one is as near
-        best, proportion = best - 1, proportions[best - 1]
-    index = kept[best] if best < kept.size else counts.size
+    r = ranks[idx]
+    n = r.size
+    i = max(_first_at(gamma, n), 1)  # at gamma 0 the smallest rank is the left neighbour, 0 away
+    r = np.partition(r, i - 1)
+    a = r[i - 1]
+    lo = np.count_nonzero(r[: i - 1] < a)
+    above = r[i:][r[i:] > a]
+    hi = n - above.size
+    if gamma - lo / n <= hi / n - gamma:  # the left one is as near
+        index, proportion = a, lo / n
+    elif above.size:
+        index, proportion = above.min(), hi / n
+    else:  # the sentinel
+        index, proportion = candidates.size - 1, 1.0
     return float(candidates[index]), float(proportion), int(below[index])
 
 
@@ -130,15 +161,16 @@ def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdMod
 
     ``gamma_s`` is interpreted in the error convention (a bare float is
     taken as an error rate). The rule that :func:`atc_estimate` and the
-    bootstrap engine apply finds it in O(n log n), identical to the naive
-    quadratic scan over all candidates. Nearness, ties to the smaller
-    threshold included, is decided on float64 distances:
-    ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` picks 3.0, not 2.0.
+    bootstrap engine apply finds it as the naive quadratic scan over all
+    candidates does, in O(n log n) for the rank step and O(n) for the
+    pick. Nearness, ties to the smaller threshold included, is decided on
+    float64 distances: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` picks
+    3.0, not 2.0.
     """
     scores = _source_scores(source_scores)
     gamma = gamma_s.error if isinstance(gamma_s, MetricValue) else float(gamma_s)
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"source metric {gamma!r} outside [0, 1]")
+        raise InvalidArgumentError(f"source metric {gamma!r} outside [0, 1]")
     threshold, proportion, _ = _pick(*_rank(scores, ()), slice(None), gamma)
     return ThresholdModel(threshold, MetricValue(gamma, Convention.ERROR), proportion)
 

@@ -343,6 +343,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # before any file is read or written
             raise InvalidArgumentError(f"--seed must not be negative, got {args.seed}")
+        _startup.hold()  # the subcommand's own imports run uncollected, up to its freeze
         return args.func(args)
     except (AtckitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

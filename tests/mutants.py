@@ -42,13 +42,11 @@ MUTANTS = {
     # the threshold rule
     "target-count-not-strict": ("atc.py", 'candidates, side="left")', 'candidates, side="right")'),
     "estimate-target-not-strict": ("atc.py", "scores < model.threshold", "scores <= model.threshold"),
-    "pick-tie-to-the-right": (
-        "atc.py", "gamma - proportions[best - 1] <= proportion - gamma", "gamma - proportions[best - 1] < proportion - gamma",
-    ),
-    "sentinel-proportion-0": ("atc.py", "if best < kept.size else 1.0", "if best < kept.size else 0.0"),
-    "resample-bincount-no-minlength": (
-        "atc.py", "np.bincount(ranks[idx], minlength=candidates.size - 1)", "np.bincount(ranks[idx])",
-    ),
+    "pick-tie-to-the-right": ("atc.py", "gamma - lo / n <= hi / n - gamma", "gamma - lo / n < hi / n - gamma"),
+    "sentinel-proportion-0": ("atc.py", "candidates.size - 1, 1.0", "candidates.size - 1, 0.0"),
+    # the pick as an order statistic: the first i with i / n >= gamma, then a partition at i - 1
+    "pick-partition-at-i": ("atc.py", "np.partition(r, i - 1)", "np.partition(r, i)"),
+    "first-position-step-strict": ("atc.py", "(i - 1) / n >= gamma", "(i - 1) / n > gamma"),
     "atc-estimate-skips-source-check": (
         "atc.py", "_source_scores(score_batch(source, fn))", "np.ravel(score_batch(source, fn))",
     ),
@@ -138,6 +136,7 @@ MUTANTS = {
     # the start-up of a fresh CLI process
     "library-caller-frozen": ("_startup.py", "_held = _fresh and gc.isenabled()", "_held = gc.isenabled()"),
     "collector-left-off": ("_startup.py", "        gc.enable()\n", "        pass\n"),
+    "subcommand-imports-collected": ("cli.py", "_startup.hold()", "None"),
     "numpy-only-when-variable-unset": (
         "_startup.py", "if _fresh:\n    _one_thread", 'if _fresh and "OPENBLAS_NUM_THREADS" not in os.environ:\n    _one_thread',
     ),

@@ -9,6 +9,7 @@ from atckit import (
     DimensionError,
     EmptyInputError,
     GeneratorSpec,
+    InvalidArgumentError,
     MetricValue,
     MissingLabelsError,
     MonotoneTransform,
@@ -23,7 +24,7 @@ from atckit import (
     score_batch,
     true_accuracy,
 )
-from atckit.atc import _pick, _rank
+from atckit.atc import _first_at, _pick, _rank
 from atckit.simplex import Convention
 
 from oracles import argmin_pick, naive_learn_threshold
@@ -60,6 +61,10 @@ class TestLearnThreshold:
         with pytest.raises(EmptyInputError):
             learn_threshold([], 0.5)
 
+    def test_an_exact_tie_is_decided_on_float_distances(self):
+        # 0.5 - 1/3 rounds above 2/3 - 0.5: the larger threshold wins (module docstring)
+        assert learn_threshold([1, 1, 2, 2, 3, 3], 0.5).threshold == 3.0
+
     @pytest.mark.parametrize("gamma", [-0.25, 1.5, float("nan")])
     def test_source_metric_outside_the_unit_interval(self, gamma):
         with pytest.raises(ValueError, match=rf"^source metric {gamma!r} outside \[0, 1\]$"):
@@ -71,6 +76,16 @@ class TestLearnThreshold:
         model = learn_threshold([0.1, 0.9], 0.5)
         with pytest.raises(ValueError):
             estimate_target(model, [0.2, float("nan")])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: learn_threshold([0.3, 0.7], 1.5), r"^source metric 1.5 outside \[0, 1\]$"),
+        (lambda: learn_threshold([0.1, float("inf")], 0.5), "^source scores must be finite$"),
+        (lambda: estimate_target(learn_threshold([0.1, 0.9], 0.5), [float("nan")]), "^target scores must not contain NaN$"),
+    ], ids=["gamma", "source", "target"])
+    def test_bad_values_raise_the_package_error(self, call, message):
+        # a ValueError still, so a caller's except ValueError keeps working
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
 
     def test_order_free(self):
         rng = np.random.default_rng(0)
@@ -101,15 +116,25 @@ class TestLearnThreshold:
 
 @st.composite
 def _pick_case(draw):
-    """A rank step over tied integer scores, a resample of the source rows and
-    a gamma at 0, 1, on a resample proportion, half way between two, or anywhere."""
+    """A rank step over tied integer scores; every source row, a short
+    resample of them, or a resample of a few thousand rows (heavy ties); and
+    a gamma at 0, 1, on a resample proportion, at one as the engine forms it
+    (``1.0 - c / m``, which rounds differently), half way between two, or
+    anywhere."""
     source = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=30)), dtype=float)
     target = np.array(draw(st.lists(st.integers(-1, 6), min_size=1, max_size=30)), dtype=float)
-    idx = np.array(draw(st.lists(st.integers(0, source.size - 1), min_size=1, max_size=40)))
-    m = idx.size
+    idx = draw(st.one_of(
+        st.just(slice(None)),
+        st.lists(st.integers(0, source.size - 1), min_size=1, max_size=40).map(np.array),
+        st.tuples(st.integers(1000, 4000), st.integers(0, 2**32 - 1)).map(
+            lambda ms: np.random.default_rng(ms[1]).integers(0, source.size, ms[0])
+        ),
+    ))
+    m = source.size if isinstance(idx, slice) else idx.size
     gamma = draw(st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.integers(0, m).map(lambda c: c / m),
+        st.integers(0, m).map(lambda c: 1.0 - c / m),
         st.integers(0, 2 * m).map(lambda c: c / (2 * m)),
         st.floats(min_value=0.0, max_value=1.0),
     ))
@@ -122,6 +147,16 @@ class TestPick:
     def test_neighbour_pick_equals_the_full_scan(self, case):
         ranked, idx, gamma = case
         assert _pick(*ranked, idx, gamma) == argmin_pick(*ranked, idx, gamma)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 25, 49, 1000, 2001])
+    def test_the_first_position_at_or_above_gamma(self, n):
+        # on, near and between the proportions, where ceil(gamma * n) rounds one off
+        on = [c / n for c in range(n + 1)] + [1.0 - c / n for c in range(n + 1)] + [c / (2 * n) for c in range(2 * n + 1)]
+        near = [float(np.nextafter(g, d)) for g in on for d in (0.0, 1.0)]
+        positions = np.arange(n + 1) / n
+        for gamma in on + near:
+            if 0.0 <= gamma <= 1.0:
+                assert _first_at(gamma, n) == int(np.argmax(positions >= gamma))
 
     @pytest.mark.parametrize("gamma, expected", [
         (0.25, (1.0, 0.0, 1)),  # |0.25 - 0| = |0.5 - 0.25|: the smaller threshold

@@ -246,19 +246,22 @@ def test_bootstrap_commands_never_load_numpy_ma(tmp_path):
 _BODIES = """
 import gc, json, sys
 from pathlib import Path
-ran = set()
+exec(sys.argv[1])
+ran = {}  # module -> whether the collector was on as its body started
 def seen(event, args):
     if event == "exec":
         path = Path(getattr(args[0], "co_filename", ""))
         if path.parent.name == "atckit":
-            ran.add(path.stem)
+            ran[path.stem] = gc.isenabled()
 sys.addaudithook(seen)  # a module's body runs through exec; looking at sys.modules could load it
 import atckit.cli
 report = {"import": sorted(ran), "frozen_at_import": gc.get_freeze_count()}
-if sys.argv[1:]:
-    report["exit"] = atckit.cli.main(sys.argv[1:])
+if sys.argv[2:]:
+    report["exit"] = atckit.cli.main(sys.argv[2:])
     report["ran"] = sorted(ran)
+    report["collecting"] = ran
     report["frozen_after"] = gc.get_freeze_count()
+    report["collector_after"] = gc.isenabled()
 print(json.dumps(report))
 """
 
@@ -267,7 +270,7 @@ _PARSER = ["__init__", "_startup", "cli", "doc", "errors", "scores", "simplex"]
 
 
 def test_cli_import_runs_only_what_the_parser_reads():
-    assert _fresh(_BODIES)["import"] == _PARSER
+    assert _fresh(_BODIES, "")["import"] == _PARSER
 
 
 @pytest.mark.parametrize(
@@ -287,10 +290,22 @@ def test_subcommand_runs_only_its_modules_and_freezes_them(tmp_path, argv, runs)
     source, target = make_shift_pair(GeneratorSpec(k=3, n=40, target_accuracy=0.8, seed=0))
     write_dump(source, tmp_path / "src.csv")
     write_dump(target, tmp_path / "tgt.csv")
-    report = _fresh(_BODIES, *(arg.format(tmp=tmp_path) for arg in argv))
+    report = _fresh(_BODIES, "", *(arg.format(tmp=tmp_path) for arg in argv))
     assert report["exit"] == 0
     assert report["ran"] == sorted(_PARSER + runs)
     assert report["frozen_after"] > report["frozen_at_import"] > 0
+    # no collection from the subcommand's start to its freeze, and a running collector after it
+    assert {m: report["collecting"][m] for m in runs} == dict.fromkeys(runs, False)
+    assert report["collector_after"] is True
+
+
+def test_library_callers_collector_runs_through_a_subcommand(tmp_path):
+    argv = ["benchmark", "--synthetic", "--k", "3", "--n", "60", "--boot", "2", "--out-dir", str(tmp_path)]
+    report = _fresh(_BODIES, "import numpy", *argv)
+    assert report["exit"] == 0 and report["frozen_after"] == 0
+    runs = ["atc", "harness", "io", "synth"]
+    assert {m: report["collecting"][m] for m in runs} == dict.fromkeys(runs, True)
+    assert report["collector_after"] is True
 
 
 _IMPORTED_FIRST = """
