@@ -15,23 +15,19 @@ Details that matter for exact reproducibility:
   deterministic and conservative (smaller below-threshold set on the
   target when scores tie).
 
-The rule reads only the order of the source scores, and once they are
-ranked (``_rank``, one sort) it is an order statistic: with i the first
-position in the sorted source whose proportion i/N reaches the source
-error, the best candidate is the score at position i - 1 or the next
-larger distinct score (the sentinel past the largest), so one partition
-per pick (``_pick``, O(N)) finds it.
-
-"Nearest" and "equally good" are decided on float64 distances, not
-exactly: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` returns 3.0,
-because 0.5 - 1/3 rounds to 0.16666666666666669 and 2/3 - 0.5 to
-0.16666666666666663, although the two proportions are equally far from
-0.5.
+The rule reads only the order of the source scores, and it is exact:
+with N source rows, e the source error count (``gamma * N``, which need
+not be an integer) and b a candidate's count of source scores strictly
+below it, the best candidate is the one whose b is nearest e, and a tie
+goes to the smaller threshold. Once the scores are ranked (``_rank``, one
+sort) that is an order statistic: with i the first position at or above
+e, the best candidate is the score at position i - 1 or the next larger
+distinct score (the sentinel past the largest), so one partition and
+integer compares per pick (``_pick``, O(N)) find it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,54 +102,39 @@ def _rank(source_scores, target_scores):
     return candidates, ranks, np.searchsorted(np.sort(target_scores), candidates, side="left")
 
 
-def _first_at(gamma: float, n: int) -> int:
-    """The first i in [0, n] with ``i / n >= gamma`` for gamma in [0, 1], in
-    the float64 division the proportions use. ``ceil(gamma * n)`` rounds
-    at most one away from it."""
-    i = math.ceil(gamma * n)
-    if i and (i - 1) / n >= gamma:
-        return i - 1
-    if i < n and i / n < gamma:
-        return i + 1
-    return i
-
-
-def _pick(candidates, ranks, below, idx, gamma: float) -> tuple[float, float, int]:
+def _pick(candidates, ranks, below, idx, num: int, den: int = 1) -> tuple[float, float, int]:
     """The rule's pick step on source rows ``idx``: ``(threshold, proportion,
     below)``, where ``below`` is the target count strictly below the threshold.
-    Only the scores of ``idx`` and the sentinel are candidates.
+    Only the scores of ``idx`` and the sentinel are candidates, and the error
+    count to match is the exact ratio x = num / den of integers.
 
-    A kept candidate's proportion is b/N, where b is the first position of
-    its tie group in the N sorted ranks, and the sentinel's is 1.0. These
-    strictly increase, so ``|gamma - p|`` falls up to gamma and rises after
-    it: its first minimum is one of gamma's two neighbours. With i the
-    first position whose i/N is at least gamma, the right neighbour is the
-    first group that starts at or after i, and the left one the group that
-    holds position i - 1, the (i - 1)-th order statistic ``a``. One
-    partition at i - 1 finds both in O(N): the ranks below ``a`` give the
-    left proportion, the smallest rank above it is the right candidate
-    (the sentinel if there is none), and the ranks not above it give the
-    right proportion. Two distinct counts differ by at least 1/N, so no
-    third candidate ties them, and the left neighbour, the smaller
-    threshold, wins a tie. The two distances are float64 differences, so
-    a tie is one only after rounding: an exact tie can go to the right
-    neighbour (see the module docstring).
+    A kept candidate's count b is the first position of its tie group in
+    the N sorted ranks, and the sentinel's is N. These strictly increase,
+    so ``|x - b|`` falls up to x and rises after it: its first minimum is
+    one of x's two neighbours. With i = ceil(x), the first position at or
+    above x, the right neighbour is the first group that starts at or
+    after i, and the left one the group that holds position i - 1, the
+    (i - 1)-th order statistic ``a``. One partition at i - 1 finds both in
+    O(N): the ranks below ``a`` give the left count lo, the smallest rank
+    above it is the right candidate (the sentinel if there is none), and
+    the ranks not above it give the right count hi. Two distinct counts
+    differ by at least 1, so no third candidate ties them, and the left
+    neighbour, the smaller threshold, wins a tie: x - lo <= hi - x,
+    compared as ``2 num <= (lo + hi) den``.
     """
     r = ranks[idx]
     n = r.size
-    i = max(_first_at(gamma, n), 1)  # at gamma 0 the smallest rank is the left neighbour, 0 away
+    i = max(-(-num // den), 1)  # at x = 0 the smallest rank is the left neighbour, 0 away
     r = np.partition(r, i - 1)
     a = r[i - 1]
-    lo = np.count_nonzero(r[: i - 1] < a)
+    lo = int(np.count_nonzero(r[: i - 1] < a))
     above = r[i:][r[i:] > a]
     hi = n - above.size
-    if gamma - lo / n <= hi / n - gamma:  # the left one is as near
-        index, proportion = a, lo / n
-    elif above.size:
-        index, proportion = above.min(), hi / n
-    else:  # the sentinel
-        index, proportion = candidates.size - 1, 1.0
-    return float(candidates[index]), float(proportion), int(below[index])
+    if 2 * num <= (lo + hi) * den:  # the left one is as near
+        index, count = a, lo
+    else:  # the right one: the sentinel, at count n, if no rank is above a
+        index, count = (above.min() if above.size else candidates.size - 1), hi
+    return float(candidates[index]), count / n, int(below[index])
 
 
 def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdModel:
@@ -163,15 +144,16 @@ def learn_threshold(source_scores, gamma_s: MetricValue | float) -> ThresholdMod
     taken as an error rate). The rule that :func:`atc_estimate` and the
     bootstrap engine apply finds it as the naive quadratic scan over all
     candidates does, in O(n log n) for the rank step and O(n) for the
-    pick. Nearness, ties to the smaller threshold included, is decided on
-    float64 distances: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)`` picks
-    3.0, not 2.0.
+    pick. Nearness is exact for any float ``gamma_s``, and a tie goes to
+    the smaller threshold: ``learn_threshold([1, 1, 2, 2, 3, 3], 0.5)``
+    picks 2.0, whose count 2 is as near 3 as the count 4 of 3.0.
     """
     scores = _source_scores(source_scores)
     gamma = gamma_s.error if isinstance(gamma_s, MetricValue) else float(gamma_s)
     if not 0.0 <= gamma <= 1.0:
         raise InvalidArgumentError(f"source metric {gamma!r} outside [0, 1]")
-    threshold, proportion, _ = _pick(*_rank(scores, ()), slice(None), gamma)
+    p, q = float(gamma).as_integer_ratio()  # gamma * N = p * N / q exactly
+    threshold, proportion, _ = _pick(*_rank(scores, ()), slice(None), p * scores.size, q)
     return ThresholdModel(threshold, MetricValue(gamma, Convention.ERROR), proportion)
 
 
@@ -186,13 +168,14 @@ def atc_estimate(source: PredictionSet, target: PredictionSet, fn: Scorer) -> At
     """End-to-end estimate of the target metric from a labeled source set.
 
     Scores both sets with ``fn``, learns the threshold against the
-    source error, and reports the target below-threshold fraction. The
+    source error count, and reports the target below-threshold fraction. The
     returned estimate converts freely between error and accuracy.
     """
     check_estimation_pair(source, target, "ATC")
     gamma_s = true_accuracy(source).converted(Convention.ERROR)
+    misses = int(np.count_nonzero(source.predicted_labels != source.labels))
     source_scores = _source_scores(score_batch(source, fn))  # checked before the target is scored
     target_scores = _target_scores(score_batch(target, fn))
-    threshold, proportion, below = _pick(*_rank(source_scores, target_scores), slice(None), gamma_s.error)
+    threshold, proportion, below = _pick(*_rank(source_scores, target_scores), slice(None), misses)
     model = ThresholdModel(threshold, gamma_s, proportion)
     return AtcEstimate(model, MetricValue(below / target_scores.size, Convention.ERROR))

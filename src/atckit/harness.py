@@ -26,7 +26,9 @@ summaries that the CLI's one dump reader, ``_load_summaries``, builds:
 A run never rescores or sorts. Each set is scored once per score
 function, and ATC's rank step (``atc._rank``) runs once per kernel. A run
 then applies only the pick step (``atc._pick``) to its resample, the
-rule that ``learn_threshold`` and ``atc_estimate`` apply to a whole set.
+rule that ``learn_threshold`` and ``atc_estimate`` apply to a whole set:
+the candidate whose source count below it is nearest the resample's miss
+count, ties to the smaller threshold, decided exactly on integers.
 ATC depends only on the ordering a score induces, so kernels whose ranks
 and target counts are equal give the same estimate in every run and
 share it: at k = 2 one computation serves all six.
@@ -107,7 +109,7 @@ class AggregateRow:
 
     def __post_init__(self):
         if not self.ci_low <= self.ci_high:
-            raise ValueError("ci_low must not exceed ci_high")
+            raise InvalidArgumentError("ci_low must not exceed ci_high")
 
 
 @dataclass(frozen=True)
@@ -276,11 +278,11 @@ def score_once(source, target, methods, calibration_sets: int = DOC_REG_CALIBRAT
 
     def estimate(idx, seed) -> dict:
         hits = correct[idx]
-        accuracy = float(np.mean(hits))
-        error = 1.0 - accuracy
+        found = int(np.count_nonzero(hits))
+        accuracy = found / hits.size  # the bits of np.mean(hits)
         atc = {}
         for ranked, members in groups:
-            below = _pick(*ranked, idx, error)[2]
+            below = _pick(*ranked, idx, hits.size - found)[2]  # the resample's miss count
             atc.update(dict.fromkeys(members, MetricValue(below / len(target), Convention.ERROR)))
         if reads_conf:  # the resample's confidences, read once for both DoC methods
             conf = source_max[idx]

@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidArgumentError
 from .simplex import PredictionSet, _row_blocks
 
 
@@ -187,9 +187,9 @@ class MonotoneTransform:
 
     def __post_init__(self):
         if not self.scale > 0:
-            raise ValueError("monotone transform needs a positive scale")
+            raise InvalidArgumentError("monotone transform needs a positive scale")
         if self.exponent < 1 or self.exponent % 2 == 0:
-            raise ValueError("monotone transform needs a positive odd exponent")
+            raise InvalidArgumentError("monotone transform needs a positive odd exponent")
 
     @classmethod
     def affine(cls, base: ScoreFunction, scale: float, offset: float = 0.0):

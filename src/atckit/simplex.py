@@ -53,7 +53,7 @@ class MetricValue:
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"metric value {self.value!r} outside [0, 1]")
+            raise InvalidArgumentError(f"metric value {self.value!r} outside [0, 1]")
 
     @property
     def accuracy(self) -> float:

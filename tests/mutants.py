@@ -42,11 +42,11 @@ MUTANTS = {
     # the threshold rule
     "target-count-not-strict": ("atc.py", 'candidates, side="left")', 'candidates, side="right")'),
     "estimate-target-not-strict": ("atc.py", "scores < model.threshold", "scores <= model.threshold"),
-    "pick-tie-to-the-right": ("atc.py", "gamma - lo / n <= hi / n - gamma", "gamma - lo / n < hi / n - gamma"),
-    "sentinel-proportion-0": ("atc.py", "candidates.size - 1, 1.0", "candidates.size - 1, 0.0"),
-    # the pick as an order statistic: the first i with i / n >= gamma, then a partition at i - 1
+    "pick-tie-to-the-right": ("atc.py", "2 * num <= (lo + hi) * den", "2 * num < (lo + hi) * den"),
+    "sentinel-is-the-largest-score": ("atc.py", "else candidates.size - 1)", "else candidates.size - 2)"),
+    # the pick as an order statistic on counts: i = ceil(num / den), then a partition at i - 1
     "pick-partition-at-i": ("atc.py", "np.partition(r, i - 1)", "np.partition(r, i)"),
-    "first-position-step-strict": ("atc.py", "(i - 1) / n >= gamma", "(i - 1) / n > gamma"),
+    "pick-ceil-as-floor": ("atc.py", "max(-(-num // den), 1)", "max(num // den, 1)"),
     "atc-estimate-skips-source-check": (
         "atc.py", "_source_scores(score_batch(source, fn))", "np.ravel(score_batch(source, fn))",
     ),
@@ -62,6 +62,10 @@ MUTANTS = {
     ),
     "mismatch-source-k-against-itself": ("harness.py", "if source.k != target.k:", "if source.k != source.k:"),
     "summary-summarized-again": ("harness.py", "if isinstance(data, _Summary):", "if False:"),
+    # the engine matches the resample's miss count, not the float error rate
+    "engine-picks-at-the-float-error": (
+        "harness.py", "_pick(*ranked, idx, hits.size - found)", "_pick(*ranked, idx, int((1 - accuracy) * hits.size))",
+    ),
     # the suite summarizes each pair as it reads it, so it holds one pair's matrices at a time
     "suite-keeps-pairs-unsummarized": (
         "harness.py",
@@ -122,6 +126,9 @@ MUTANTS = {
     "int-seed-allows-minus-one": ("simplex.py", "negative = seed < 0", "negative = seed < -1"),
     # the one resampler and the one monotone transform family
     "resample-skips-row-0": ("simplex.py", "rng.integers(0, n, size=", "rng.integers(1, n, size="),
+    "metric-value-plain-value-error": (
+        "simplex.py", 'raise InvalidArgumentError(f"metric value', 'raise ValueError(f"metric value',
+    ),
     "transform-allows-even-exponent": (
         "scores.py", "self.exponent < 1 or self.exponent % 2 == 0", "self.exponent < 1",
     ),

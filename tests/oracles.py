@@ -3,10 +3,12 @@
 Deliberately written in the most literal way possible (plain loops,
 math module, no shared code with the package) so they stay independent
 of the implementation paths they check. ``argmin_pick`` keeps the
-vectorised full scan that the package's pick step replaced.
+vectorised full scan on float64 distances that the package's exact pick
+step replaced.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,9 +18,11 @@ def naive_learn_threshold(scores, gamma_error):
 
     Candidates are the distinct observed scores plus one sentinel above
     all of them; for each, the below-threshold fraction is counted by a
-    full pass; the best |gamma - fraction| wins with ties going to the
-    smallest candidate. Returns (threshold, fraction).
+    full pass; the best |gamma - fraction|, compared exactly as fractions,
+    wins with ties going to the smallest candidate. ``gamma_error`` is a
+    float or a ``Fraction``. Returns (threshold, fraction).
     """
+    gamma = Fraction(gamma_error)
     scores = list(scores)
     n = len(scores)
     candidates = sorted(set(scores)) + [math.inf]
@@ -29,7 +33,7 @@ def naive_learn_threshold(scores, gamma_error):
             if s < t:
                 below += 1
         prop = below / n
-        diff = abs(gamma_error - prop)
+        diff = abs(gamma - Fraction(below, n))
         if best_diff is None or diff < best_diff:
             best_t, best_prop, best_diff = t, prop, diff
     return best_t, best_prop
@@ -38,9 +42,11 @@ def naive_learn_threshold(scores, gamma_error):
 def argmin_pick(candidates, ranks, below, idx, gamma):
     """ATC's pick step as a scan of every kept candidate, the sentinel appended.
 
-    The first minimum of ``|gamma - proportion|`` over all of them wins, so
-    ties go to the smallest threshold. Takes and returns what
-    ``atckit.atc._pick`` does: ``(threshold, proportion, below)``.
+    The first minimum of the float64 ``|gamma - proportion|`` over all of
+    them wins, so ties after rounding go to the smallest threshold, and an
+    exact tie can go to the larger. Takes ``gamma`` where ``atckit.atc._pick``
+    takes its exact error count, and returns what it does:
+    ``(threshold, proportion, below)``.
     """
     counts = np.bincount(ranks[idx], minlength=candidates.size - 1)
     total = np.cumsum(counts)

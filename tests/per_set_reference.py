@@ -13,6 +13,8 @@ is the one ``doc_estimate`` applies, and ``tests/test_doc.py`` holds it to
 can be held to this path bit for bit.
 """
 
+from fractions import Fraction
+
 from atckit import ScoreFunction, bootstrap_calibration, doc_estimate
 from atckit.errors import InvalidArgumentError
 from atckit.harness import DOC_REG_CALIBRATION_SETS
@@ -23,12 +25,13 @@ from oracles import naive_learn_threshold
 
 
 def _atc_reference(source, target, fn):
-    """ATC's target error: the naive threshold scan, then a strict count."""
+    """ATC's target error: the naive threshold scan at the exact source error, then a strict count."""
     check_estimation_pair(source, target, "ATC")
     correct = 0
     for predicted, label in zip(source.predicted_labels.tolist(), source.labels.tolist()):
         correct += predicted == label
-    threshold, _ = naive_learn_threshold(score_batch(source, fn).tolist(), 1.0 - correct / len(source))
+    error = Fraction(len(source) - correct, len(source))  # exact, as the engine's miss count is
+    threshold, _ = naive_learn_threshold(score_batch(source, fn).tolist(), error)
     below = 0
     for s in score_batch(target, fn).tolist():
         if s < threshold:

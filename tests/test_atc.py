@@ -1,5 +1,7 @@
 """Threshold learning and target estimation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from atckit import (
     score_batch,
     true_accuracy,
 )
-from atckit.atc import _first_at, _pick, _rank
+from atckit.atc import _pick, _rank
+from atckit.harness import score_once
+from atckit.scores import SCORE_IDS
 from atckit.simplex import Convention
 
 from oracles import argmin_pick, naive_learn_threshold
@@ -61,9 +65,10 @@ class TestLearnThreshold:
         with pytest.raises(EmptyInputError):
             learn_threshold([], 0.5)
 
-    def test_an_exact_tie_is_decided_on_float_distances(self):
-        # 0.5 - 1/3 rounds above 2/3 - 0.5: the larger threshold wins (module docstring)
-        assert learn_threshold([1, 1, 2, 2, 3, 3], 0.5).threshold == 3.0
+    def test_an_exact_tie_goes_to_the_smaller_threshold(self):
+        # the counts 2 (of 2.0) and 4 (of 3.0) are both 1 from 0.5 * 6, though 0.5 - 1/3 rounds above 2/3 - 0.5
+        model = learn_threshold([1, 1, 2, 2, 3, 3], 0.5)
+        assert (model.threshold, model.achieved_source_proportion) == (2.0, 1 / 3)
 
     @pytest.mark.parametrize("gamma", [-0.25, 1.5, float("nan")])
     def test_source_metric_outside_the_unit_interval(self, gamma):
@@ -119,7 +124,8 @@ def _pick_case(draw):
     """A rank step over tied integer scores; every source row, a short
     resample of them, or a resample of a few thousand rows (heavy ties); and
     a gamma at 0, 1, on a resample proportion, at one as the engine forms it
-    (``1.0 - c / m``, which rounds differently), half way between two, or
+    (``1.0 - c / m``, which rounds differently), half way between the
+    proportions of two neighbouring candidates or a float next to that, or
     anywhere."""
     source = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=30)), dtype=float)
     target = np.array(draw(st.lists(st.integers(-1, 6), min_size=1, max_size=30)), dtype=float)
@@ -130,15 +136,33 @@ def _pick_case(draw):
             lambda ms: np.random.default_rng(ms[1]).integers(0, source.size, ms[0])
         ),
     ))
-    m = source.size if isinstance(idx, slice) else idx.size
+    kept = np.sort(source[idx])
+    m = kept.size
+    counts = np.append(np.flatnonzero(np.diff(kept, prepend=-np.inf)), m)  # each candidate's count below
+    half_way = st.integers(0, counts.size - 2).map(lambda j: (counts[j] + counts[j + 1]) / (2 * m))
     gamma = draw(st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.integers(0, m).map(lambda c: c / m),
         st.integers(0, m).map(lambda c: 1.0 - c / m),
-        st.integers(0, 2 * m).map(lambda c: c / (2 * m)),
+        half_way,
+        st.tuples(half_way, st.sampled_from([0.0, 1.0])).map(lambda g: float(np.nextafter(*g))),
         st.floats(min_value=0.0, max_value=1.0),
     ))
     return _rank(source, target), idx, gamma
+
+
+def _count(gamma, idx, ranks):
+    """gamma times the rows of ``idx``, as the exact ratio ``(num, den)`` that ``_pick`` takes."""
+    p, q = gamma.as_integer_ratio()
+    return p * ranks[idx].size, q
+
+
+def _exact_pick(candidates, ranks, below, idx, num, den):
+    """The naive scan over the scores of ``idx`` at the exact proportion
+    ``num / (den * rows)``, and the target count below its threshold."""
+    scores = candidates[ranks[idx]]
+    t, prop = naive_learn_threshold(scores.tolist(), Fraction(num, den * scores.size))
+    return t, prop, int(below[np.searchsorted(candidates, t)])
 
 
 class TestPick:
@@ -146,30 +170,55 @@ class TestPick:
     @settings(max_examples=400, deadline=None)
     def test_neighbour_pick_equals_the_full_scan(self, case):
         ranked, idx, gamma = case
-        assert _pick(*ranked, idx, gamma) == argmin_pick(*ranked, idx, gamma)
+        count = _count(gamma, idx, ranked[1])
+        assert _pick(*ranked, idx, *count) == _exact_pick(*ranked, idx, *count)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 25, 49, 1000, 2001])
-    def test_the_first_position_at_or_above_gamma(self, n):
-        # on, near and between the proportions, where ceil(gamma * n) rounds one off
-        on = [c / n for c in range(n + 1)] + [1.0 - c / n for c in range(n + 1)] + [c / (2 * n) for c in range(2 * n + 1)]
-        near = [float(np.nextafter(g, d)) for g in on for d in (0.0, 1.0)]
-        positions = np.arange(n + 1) / n
-        for gamma in on + near:
-            if 0.0 <= gamma <= 1.0:
-                assert _first_at(gamma, n) == int(np.argmax(positions >= gamma))
+    @given(_pick_case())
+    @settings(max_examples=400, deadline=None)
+    def test_the_float_scan_differs_only_within_rounding_of_a_tie(self, case):
+        # each float64 distance is within 2**-52 of the exact one, so the two
+        # rules can part only where the exact distances differ by at most 2**-51
+        ranked, idx, gamma = case
+        (num, den), m = _count(gamma, idx, ranked[1]), ranked[1][idx].size
+        exact, rounded = _pick(*ranked, idx, num, den), argmin_pick(*ranked, idx, gamma)
+        if exact != rounded:
+            b = sorted(round(p * m) for p in (exact[1], rounded[1]))
+            assert abs((b[0] + b[1]) * den - 2 * num) * 2**51 <= den * m
 
-    @pytest.mark.parametrize("gamma, expected", [
-        (0.25, (1.0, 0.0, 1)),  # |0.25 - 0| = |0.5 - 0.25|: the smaller threshold
-        (0.75, (2.0, 0.5, 2)),  # |0.75 - 0.5| = |1 - 0.75|: not the sentinel
+    @pytest.mark.parametrize("source, gamma, exact, rounded", [
+        ([1, 1, 2, 2, 3, 3], 0.5, 2.0, 3.0),  # the counts 2 and 4 tie at 3
+        ([0] * 36 + [1] * 3, 0.9615384615384616, np.inf, 1.0),  # a little past the tie of 36 and 39 at 37.5
     ])
-    def test_a_tie_goes_to_the_left_neighbour(self, gamma, expected):
-        ranked = _rank(np.array([1.0, 2.0]), np.array([0.0, 1.5, 3.0]))
-        assert _pick(*ranked, slice(None), gamma) == expected
+    def test_the_float_scan_errs_at_and_next_to_a_tie(self, source, gamma, exact, rounded):
+        ranked = _rank(np.array(source, dtype=float), np.array([0.5]))
+        assert _pick(*ranked, slice(None), *_count(gamma, slice(None), ranked[1]))[0] == exact
+        assert argmin_pick(*ranked, slice(None), gamma)[0] == rounded
 
-    @pytest.mark.parametrize("gamma, expected", [(0.0, (4.0, 0.0, 1)), (0.4, (4.0, 0.0, 1)), (0.6, (np.inf, 1.0, 2))])
-    def test_one_kept_candidate_and_the_sentinel(self, gamma, expected):
+    @pytest.mark.parametrize("count, expected", [
+        ((1, 2), (1.0, 0.0, 1)),  # 0.5 is as near 0 as 1: the smaller threshold
+        ((3, 2), (2.0, 0.5, 2)),  # 1.5 is as near 1 as 2: not the sentinel
+    ])
+    def test_a_tie_goes_to_the_left_neighbour(self, count, expected):
+        ranked = _rank(np.array([1.0, 2.0]), np.array([0.0, 1.5, 3.0]))
+        assert _pick(*ranked, slice(None), *count) == expected
+
+    @pytest.mark.parametrize("count, expected", [
+        ((0, 1), (4.0, 0.0, 1)),
+        ((6, 5), (4.0, 0.0, 1)),
+        ((3, 2), (4.0, 0.0, 1)),  # half way between the counts 0 and 3
+        ((9, 5), (np.inf, 1.0, 2)),
+        ((3, 1), (np.inf, 1.0, 2)),
+    ])
+    def test_one_kept_candidate_and_the_sentinel(self, count, expected):
         ranked = _rank(np.array([1.0, 4.0, 9.0]), np.array([2.0, 5.0]))
-        assert _pick(*ranked, np.array([1, 1, 1]), gamma) == expected
+        assert _pick(*ranked, np.array([1, 1, 1]), *count) == expected
+
+    def test_a_tiny_gamma_keeps_its_exact_ratio(self):
+        # 1.17e-109 is p / 2**414 and the subnormal 5e-324 is 1 / 2**1074: the counts
+        # are multiplied by those denominators as Python integers, past any fixed width
+        model = learn_threshold([0.0], 1.17e-109)
+        assert (model.threshold, model.achieved_source_proportion) == (0.0, 0.0)
+        assert learn_threshold([0.0, 1.0], 5e-324).threshold == 0.0
 
 
 class TestEstimateTarget:
@@ -333,22 +382,50 @@ _SCORERS = st.one_of(
 )
 
 
+def _naive(source_scores, target_scores, gamma):
+    """The bits of the naive scan's threshold and proportion at ``gamma``, and of the target error."""
+    t, prop = naive_learn_threshold(source_scores.tolist(), gamma)
+    below = sum(1 for s in target_scores.tolist() if s < t)
+    return _bits(t, prop, below / len(target_scores))
+
+
 class TestOneRule:
+    """One rule, three entry points. ``atc_estimate`` and the engine match
+    the source's exact error count e / N; ``learn_threshold`` matches the
+    float it is given, and the error rate 1 - c / N need not be e / N: with
+    5 rows and 2 misses it is the float 0.4, a little above 2 / 5, so where
+    the counts 1 and 3 tie at e = 2, ``learn_threshold`` takes 3."""
+
     @given(_tied_pair(), _SCORERS)
     @settings(max_examples=150, deadline=None)
-    def test_public_views_agree_with_each_other_and_the_naive_scan(self, pair, fn):
+    def test_each_public_view_follows_the_naive_scan(self, pair, fn):
         source, target = pair
         gamma = true_accuracy(source).error
+        misses = int(np.count_nonzero(source.predicted_labels != source.labels))
         source_scores, target_scores = score_batch(source, fn), score_batch(target, fn)
         est = atc_estimate(source, target, fn)
         model = learn_threshold(source_scores, gamma)
         value = estimate_target(model, target_scores)
-        t, prop = naive_learn_threshold(source_scores.tolist(), gamma)
-        below = sum(1 for s in target_scores.tolist() if s < t)
-        expected = _bits(t, prop, below / len(target))
+        expected = _naive(source_scores, target_scores, Fraction(misses, len(source)))
         assert _bits(est.model.threshold, est.model.achieved_source_proportion, est.error) == expected
+        expected = _naive(source_scores, target_scores, gamma)
         assert _bits(model.threshold, model.achieved_source_proportion, value.error) == expected
         assert est.model.source_metric == model.source_metric == MetricValue(gamma, Convention.ERROR)
+
+    @given(_tied_pair(source_sizes=st.sampled_from([1, 2, 4, 8])), st.sampled_from(SCORE_IDS))
+    @settings(max_examples=150, deadline=None)
+    def test_at_a_power_of_two_rows_all_three_agree(self, pair, method):
+        # 1 - c / N is e / N exactly when N is a power of two
+        source, target = pair
+        fn = ScoreFunction(method)
+        gamma = true_accuracy(source).error
+        est = atc_estimate(source, target, fn)
+        model = learn_threshold(score_batch(source, fn), gamma)
+        value = estimate_target(model, score_batch(target, fn))
+        engine = score_once(source, target, (method,))(slice(None), 0)[method]
+        expected = _bits(model.threshold, model.achieved_source_proportion, value.error)
+        assert _bits(est.model.threshold, est.model.achieved_source_proportion, est.error) == expected
+        assert _bits(engine.error) == expected[2:]
 
 
 class TestMonotoneRescalings:

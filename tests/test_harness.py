@@ -266,7 +266,7 @@ def _printed(outcome):
 
 
 @st.composite
-def _tied_pair(draw):
+def _tied_pair(draw, source_sizes=st.integers(1, 12)):
     """Sets of at most 12 rows drawn from a pool of vertices, the uniform row and 3 others."""
     k = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -275,7 +275,7 @@ def _tied_pair(draw):
     def rows(n):
         return pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
 
-    n = draw(st.integers(1, 12))
+    n = draw(source_sizes)
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return PredictionSet(rows(n), labels), PredictionSet(rows(draw(st.integers(1, 12))))
 
